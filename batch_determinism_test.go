@@ -1,7 +1,7 @@
 // Switch-lattice determinism meta-test for the structure-of-arrays batch
 // evaluation path (PR 6). Every perf layer carries a Disable switch and must
 // be bit-identical to every other combination; this test walks the full
-// batch×delta×prefilter×cache lattice so no pairwise interaction can drift.
+// batch×prefilter×cache lattice so no pairwise interaction can drift.
 //
 // The test names start with "TestBatch" on purpose: the CI race step runs
 // `go test -race -run 'TestBatch'` at GOMAXPROCS 1 and 8 to exercise the
@@ -28,17 +28,16 @@ func TestBatchSwitchLatticeDeterminism(t *testing.T) {
 		for _, useRejection := range []bool{false, true} {
 			base := core.EMTS5(42)
 			base.UseRejection = useRejection
-			want, err := core.Run(g, tab, base) // every layer on: batch, delta, prefilter, cache
+			want, err := core.Run(g, tab, base) // every layer on: batch, prefilter, cache
 			if err != nil {
 				t.Fatal(err)
 			}
-			for mask := 0; mask < 16; mask++ {
+			for mask := 0; mask < 8; mask++ {
 				p := core.EMTS5(42)
 				p.UseRejection = useRejection
 				p.DisableBatch = mask&1 != 0
-				p.DisableDelta = mask&2 != 0
-				p.DisablePrefilter = mask&4 != 0
-				p.DisableCache = mask&8 != 0
+				p.DisablePrefilter = mask&2 != 0
+				p.DisableCache = mask&4 != 0
 				got, err := core.Run(g, tab, p)
 				if err != nil {
 					t.Fatal(err)
@@ -49,8 +48,8 @@ func TestBatchSwitchLatticeDeterminism(t *testing.T) {
 					!reflect.DeepEqual(got.History, want.History) ||
 					got.Evaluations != want.Evaluations ||
 					got.Rejections != want.Rejections {
-					t.Errorf("%s rejection=%v batch=%v delta=%v prefilter=%v cache=%v: diverged from all-on baseline (makespan %g vs %g, evals %d vs %d, rejects %d vs %d)",
-						ctx, useRejection, !p.DisableBatch, !p.DisableDelta, !p.DisablePrefilter, !p.DisableCache,
+					t.Errorf("%s rejection=%v batch=%v prefilter=%v cache=%v: diverged from all-on baseline (makespan %g vs %g, evals %d vs %d, rejects %d vs %d)",
+						ctx, useRejection, !p.DisableBatch, !p.DisablePrefilter, !p.DisableCache,
 						got.Makespan, want.Makespan, got.Evaluations, want.Evaluations, got.Rejections, want.Rejections)
 				}
 				// CacheHits and PrefilterRejections are observability counters
@@ -69,8 +68,8 @@ func TestBatchSwitchLatticeDeterminism(t *testing.T) {
 						t.Errorf("%s: PrefilterRejections = %d with the prefilter off or no bound", ctx, got.PrefilterRejections)
 					}
 				} else if got.PrefilterRejections != want.PrefilterRejections {
-					t.Errorf("%s rejection=%v batch=%v delta=%v cache=%v: PrefilterRejections %d, want %d",
-						ctx, useRejection, !p.DisableBatch, !p.DisableDelta, !p.DisableCache,
+					t.Errorf("%s rejection=%v batch=%v cache=%v: PrefilterRejections %d, want %d",
+						ctx, useRejection, !p.DisableBatch, !p.DisableCache,
 						got.PrefilterRejections, want.PrefilterRejections)
 				}
 			}

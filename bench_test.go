@@ -547,14 +547,12 @@ func BenchmarkEMTS10Instance(b *testing.B) { emtsInstanceBench(b, withRejection(
 func BenchmarkEMTS5InstanceNoRejection(b *testing.B) { emtsInstanceBench(b, core.EMTS5) }
 
 // BenchmarkEMTS5InstanceNoFastPath is the A/B control for DESIGN.md §10:
-// rejection enabled but the lower-bound prefilter and delta bottom levels
-// switched off — the PR 2 evaluation engine on today's workload.
+// rejection enabled but the lower-bound prefilter switched off.
 func BenchmarkEMTS5InstanceNoFastPath(b *testing.B) {
 	emtsInstanceBench(b, func(seed int64) core.Params {
 		p := core.EMTS5(seed)
 		p.UseRejection = true
 		p.DisablePrefilter = true
-		p.DisableDelta = true
 		return p
 	})
 }

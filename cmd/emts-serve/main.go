@@ -8,7 +8,7 @@
 //	emts-serve [-addr :8080] [-workers N] [-queue 64] [-timeout 30s]
 //	           [-cache 256] [-max-tasks 20000] [-max-islands 16]
 //	           [-quiet] [-instance id]
-//	           [-graph-entries 64] [-table-entries 128] [-cache-shards 0]
+//	           [-graph-entries 64] [-table-entries 128]
 //	           [-max-jobs 256] [-job-ttl 10m] [-sse-keepalive 15s]
 //	           [-no-intern] [-no-pool] [-no-governor]
 //	           [-pprof addr] [-mutex-profile-fraction 0] [-block-profile-rate 0]
@@ -72,7 +72,6 @@ func main() {
 
 		graphEntries = flag.Int("graph-entries", 0, "interned-graph LRU entries (0 = default 64, negative disables)")
 		tableEntries = flag.Int("table-entries", 0, "interned-table LRU entries (0 = default 128, negative disables)")
-		cacheShards  = flag.Int("cache-shards", 0, "fitness memo cache shards per run (0 = auto)")
 		maxJobs      = flag.Int("max-jobs", 0, "async job store bound (0 = default 256, negative disables /v1/jobs)")
 		jobTTL       = flag.Duration("job-ttl", 0, "finished-job retention for polling and SSE replay (0 = default 10m)")
 		sseKeepalive = flag.Duration("sse-keepalive", 0, "SSE keep-alive comment period (0 = default 15s)")
@@ -100,7 +99,6 @@ func main() {
 		InstanceID:       *instance,
 		GraphEntries:     *graphEntries,
 		TableEntries:     *tableEntries,
-		CacheShards:      *cacheShards,
 		MaxJobs:          *maxJobs,
 		JobTTL:           *jobTTL,
 		SSEKeepAlive:     *sseKeepalive,

@@ -88,39 +88,29 @@ func TestEvaluationEngineDeterminism(t *testing.T) {
 						ctx, useRejection, plain.CacheHits)
 				}
 
-				// Fast-path axes (DESIGN.md §10): disabling the lower-bound
-				// prefilter and/or delta bottom levels must not change any
-				// search-visible output relative to the all-layers-on run.
-				for _, c := range []struct {
-					name           string
-					noPre, noDelta bool
-				}{
-					{"no-prefilter", true, false},
-					{"no-delta", false, true},
-					{"no-fastpath", true, true},
-				} {
-					q := pr.mk(42)
-					q.UseRejection = useRejection
-					q.DisablePrefilter = c.noPre
-					q.DisableDelta = c.noDelta
-					got, err := core.Run(g, tab, q)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got.Makespan != withCache.Makespan ||
-						!reflect.DeepEqual(got.Alloc, withCache.Alloc) ||
-						!reflect.DeepEqual(got.History, withCache.History) ||
-						got.Evaluations != withCache.Evaluations ||
-						got.Rejections != withCache.Rejections ||
-						got.CacheHits != withCache.CacheHits {
-						t.Errorf("%s rejection=%v %s: diverged from fast-path run (makespan %g vs %g, evals %d vs %d, rejects %d vs %d)",
-							ctx, useRejection, c.name, got.Makespan, withCache.Makespan,
-							got.Evaluations, withCache.Evaluations, got.Rejections, withCache.Rejections)
-					}
-					if c.noPre && got.PrefilterRejections != 0 {
-						t.Errorf("%s rejection=%v %s: PrefilterRejections = %d with the prefilter disabled",
-							ctx, useRejection, c.name, got.PrefilterRejections)
-					}
+				// Fast-path axis (DESIGN.md §10): disabling the lower-bound
+				// prefilter must not change any search-visible output
+				// relative to the all-layers-on run.
+				q := pr.mk(42)
+				q.UseRejection = useRejection
+				q.DisablePrefilter = true
+				got, err := core.Run(g, tab, q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Makespan != withCache.Makespan ||
+					!reflect.DeepEqual(got.Alloc, withCache.Alloc) ||
+					!reflect.DeepEqual(got.History, withCache.History) ||
+					got.Evaluations != withCache.Evaluations ||
+					got.Rejections != withCache.Rejections ||
+					got.CacheHits != withCache.CacheHits {
+					t.Errorf("%s rejection=%v no-prefilter: diverged from fast-path run (makespan %g vs %g, evals %d vs %d, rejects %d vs %d)",
+						ctx, useRejection, got.Makespan, withCache.Makespan,
+						got.Evaluations, withCache.Evaluations, got.Rejections, withCache.Rejections)
+				}
+				if got.PrefilterRejections != 0 {
+					t.Errorf("%s rejection=%v no-prefilter: PrefilterRejections = %d with the prefilter disabled",
+						ctx, useRejection, got.PrefilterRejections)
 				}
 				if useRejection && withCache.PrefilterRejections == 0 {
 					t.Errorf("%s: expected prefilter rejections with rejection enabled (rejected fraction is high on these instances)", ctx)
@@ -133,9 +123,10 @@ func TestEvaluationEngineDeterminism(t *testing.T) {
 	}
 }
 
-// TestCrossRequestLayerDeterminism pins the PR 5 axes: the shared Mapper
-// pool, the sharded memo cache, and the worker count (the CPU governor's
-// lever) must each leave every search-visible output bit-identical.
+// TestCrossRequestLayerDeterminism pins the cross-request axes: the shared
+// Mapper pool and the worker count (the CPU governor's lever, which also
+// sets the memo cache's stripe count) must each leave every search-visible
+// output bit-identical.
 func TestCrossRequestLayerDeterminism(t *testing.T) {
 	pool := evalpool.New(0, 0)
 	for _, g := range determinismGraphs(t) {
@@ -151,17 +142,15 @@ func TestCrossRequestLayerDeterminism(t *testing.T) {
 		for _, c := range []struct {
 			name    string
 			pooled  bool
-			shards  int
 			workers int
 		}{
-			{"pool", true, 0, 0},
-			{"shards1", false, 1, 0},
-			{"shards4", false, 4, 4},
-			{"workers1", false, 0, 1},
-			{"pool+shards64+workers2", true, 64, 2},
+			{"pool", true, 0},
+			{"workers1", false, 1},
+			{"workers4", false, 4},
+			{"workers64", false, 64},
+			{"pool+workers2", true, 2},
 		} {
 			p := core.EMTS5(42)
-			p.CacheShards = c.shards
 			p.Workers = c.workers
 			if c.pooled {
 				p.MapperPool = pool

@@ -80,26 +80,24 @@ func TestRunDeterministicCacheOnOff(t *testing.T) {
 	}
 }
 
-// TestRunDeterministicFastPathOnOff extends the cache meta-test to the PR 3
+// TestRunDeterministicFastPathOnOff extends the cache meta-test to the
 // evaluation fast path (DESIGN.md §10): the admissible lower-bound prefilter
-// (Layer 1) and delta-aware bottom levels (Layer 3) are optimizations, not
-// semantic changes, so every combination of the two switches must produce
-// bit-identical search results — with rejection enabled, where both layers
-// actually fire.
+// (Layer 1) is an optimization, not a semantic change, so both switch
+// positions must produce bit-identical search results — with rejection
+// enabled, where the layer actually fires.
 func TestRunDeterministicFastPathOnOff(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := randomPTG(rng, 25)
 	tab := model.MustTable(g, model.Synthetic{}, testCluster)
 
-	run := func(noPrefilter, noDelta bool) *Result {
+	run := func(noPrefilter bool) *Result {
 		t.Helper()
 		p := EMTS5(5)
 		p.UseRejection = true
 		p.DisablePrefilter = noPrefilter
-		p.DisableDelta = noDelta
 		res, err := Run(g, tab, p)
 		if err != nil {
-			t.Fatalf("prefilter=%v delta=%v: %v", !noPrefilter, !noDelta, err)
+			t.Fatalf("prefilter=%v: %v", !noPrefilter, err)
 		}
 		// PrefilterRejections is necessarily mode-dependent (zero with the
 		// prefilter off); everything else must match bit for bit.
@@ -107,13 +105,10 @@ func TestRunDeterministicFastPathOnOff(t *testing.T) {
 		return res
 	}
 
-	ref := run(true, true) // both layers off: the PR 2 baseline behavior
-	for _, c := range []struct{ noPre, noDelta bool }{{false, true}, {true, false}, {false, false}} {
-		got := run(c.noPre, c.noDelta)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("fast path (prefilter=%v, delta=%v) diverged from baseline:\n got: makespan=%v history=%v evals=%d rejects=%d\n ref: makespan=%v history=%v evals=%d rejects=%d",
-				!c.noPre, !c.noDelta, got.Makespan, got.History, got.Evaluations, got.Rejections,
-				ref.Makespan, ref.History, ref.Evaluations, ref.Rejections)
-		}
+	ref, got := run(true), run(false)
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("prefilter diverged from baseline:\n got: makespan=%v history=%v evals=%d rejects=%d\n ref: makespan=%v history=%v evals=%d rejects=%d",
+			got.Makespan, got.History, got.Evaluations, got.Rejections,
+			ref.Makespan, ref.History, ref.Evaluations, ref.Rejections)
 	}
 }

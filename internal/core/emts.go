@@ -76,13 +76,6 @@ type Params struct {
 	// UseRejection is set (DESIGN.md §10, Layer 1). Results are bit-identical
 	// either way; A/B switch like DisableCache.
 	DisablePrefilter bool
-	// DisableDelta turns off delta-aware bottom-level evaluation: offspring
-	// are then evaluated with a full O(V+E) bottom-level sweep instead of
-	// recomputing only the alleles their mutation touched plus affected
-	// ancestors (DESIGN.md §10, Layer 3). Results are bit-identical either
-	// way; A/B switch like DisableCache. Delta evaluation requires the
-	// engine, so DisableCache implies it.
-	DisableDelta bool
 	// DisableBatch turns off structure-of-arrays batch evaluation: each
 	// generation's cache misses are then dispatched to the workers one
 	// individual at a time through scalar Mappers instead of per-worker
@@ -111,11 +104,8 @@ type Params struct {
 	// Workers bounds fitness-evaluation parallelism (0 = GOMAXPROCS). With
 	// Islands > 1 the budget is divided evenly across the islands.
 	Workers int
-	// CacheShards stripes the fitness memo cache (see ea.Config.CacheShards).
-	// Results are bit-identical for any value; 0 picks a default.
-	CacheShards int
 	// MapperPool, when non-nil, supplies the listsched.Mapper arenas for this
-	// run — the seed evaluator, every EA worker's evaluator pair, and the
+	// run — the seed evaluator, every EA worker's evaluator, and the
 	// final schedule materialization — instead of constructing fresh ones.
 	// All checked-out Mappers are returned before RunContext returns. Results
 	// are bit-identical with or without a pool (Mapper.Rebind resets all
@@ -348,18 +338,17 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 		}
 		return s.Makespan(), nil
 	}
-	var deltaFactory func() (ea.Evaluator, ea.DeltaEvaluator)
+	var evalFactory func() ea.Evaluator
 	if !p.DisableCache {
 		baseOpt := listsched.Options{SkipProcSets: true, DisablePrefilter: p.DisablePrefilter}
-		deltaFactory = func() (ea.Evaluator, ea.DeltaEvaluator) {
+		evalFactory = func() ea.Evaluator {
 			m, err := newMapper()
 			if err != nil {
-				return fitness, nil // unreachable: sizes were validated above
+				return fitness // unreachable: sizes were validated above
 			}
-			// Both closures share one Mapper (and thus its bottom-level
-			// arena and parent-baseline cache); the engine calls them from a
-			// single worker goroutine, never concurrently.
-			plain := func(a schedule.Allocation, rejectAbove float64) (float64, error) {
+			// The engine calls each worker's evaluator from that worker's
+			// goroutine only, so the Mapper's arenas are never shared.
+			return func(a schedule.Allocation, rejectAbove float64) (float64, error) {
 				opt := baseOpt
 				opt.RejectAbove = rejectAbove
 				f, err := m.MakespanOpts(a, opt)
@@ -368,16 +357,6 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 				}
 				return f, nil
 			}
-			delta := func(a, parent schedule.Allocation, mutated []int, rejectAbove float64) (float64, error) {
-				opt := baseOpt
-				opt.RejectAbove = rejectAbove
-				f, err := m.MakespanDelta(a, parent, mutated, opt)
-				if err != nil {
-					return 0, mapErr(err)
-				}
-				return f, nil
-			}
-			return plain, delta
 		}
 	}
 
@@ -385,7 +364,7 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 	// whole chunk of the generation over structure-of-arrays planes
 	// (DESIGN.md §13). It is independent of the cache switch: with the
 	// cache off every individual reaches the batch; with it on, only misses
-	// do. The ea mirror types are converted into listsched items through a
+	// do. The allocations are wrapped into listsched items through a
 	// closure-owned scratch slice, reused across generations.
 	var batchFactory func() ea.BatchEvaluator
 	if !p.DisableBatch {
@@ -396,20 +375,16 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 				// Unreachable (sizes were validated above), but a constructor
 				// error must surface: the engine files it on every individual
 				// of the chunk.
-				return func([]ea.BatchItem, float64, []float64, []error) error { return err }
+				return func([]schedule.Allocation, float64, []float64, []error) error { return err }
 			}
 			var scratch []listsched.BatchItem
-			return func(items []ea.BatchItem, rejectAbove float64, fitness []float64, errs []error) error {
-				if cap(scratch) < len(items) {
-					scratch = make([]listsched.BatchItem, len(items))
+			return func(allocs []schedule.Allocation, rejectAbove float64, fitness []float64, errs []error) error {
+				if cap(scratch) < len(allocs) {
+					scratch = make([]listsched.BatchItem, len(allocs))
 				}
-				scratch = scratch[:len(items)]
-				for i := range items {
-					scratch[i] = listsched.BatchItem{
-						Alloc:   items[i].Alloc,
-						Parent:  items[i].Parent,
-						Mutated: items[i].Mutated,
-					}
+				scratch = scratch[:len(allocs)]
+				for i, a := range allocs {
+					scratch[i] = listsched.BatchItem{Alloc: a}
 				}
 				opt := batchOpt
 				opt.RejectAbove = rejectAbove
@@ -434,17 +409,15 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 		UseRejection:          p.UseRejection,
 		Workers:               p.Workers,
 		Seed:                  p.Seed,
-		DeltaEvaluatorFactory: deltaFactory,
+		EvaluatorFactory:      evalFactory,
 		BatchEvaluatorFactory: batchFactory,
 		DisableBatch:          p.DisableBatch,
-		DisableDelta:          p.DisableDelta,
 		DisableCache:          p.DisableCache,
 		DisableWorkStealing:   p.DisableWorkStealing,
 		Islands:               p.Islands,
 		MigrationInterval:     p.MigrationInterval,
 		MigrationCount:        p.MigrationCount,
 		Topology:              p.Topology,
-		CacheShards:           p.CacheShards,
 		Strategy:              p.Strategy,
 		SelfAdaptive:          p.SelfAdaptive,
 		InitialSigma:          p.InitialSigma,

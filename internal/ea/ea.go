@@ -30,20 +30,9 @@ type Individual struct {
 	// Sigma is the individual's mutation step size when the run uses
 	// self-adaptation (Config.SelfAdaptive); 0 otherwise.
 	Sigma float64
-
-	// parent and mutated record the offspring's lineage for delta-aware
-	// evaluation (DESIGN.md §10, Layer 3): parent is the parent's live
-	// allocation vector and mutated lists the allele positions the mutation
-	// operator touched, so Alloc[i] == parent[i] for every position not in
-	// mutated. Both are nil for seeds, crossover offspring, and selected
-	// parents (Clone and selectBest clear them). Run only sets them when the
-	// parent vector is guaranteed to stay unmutated for the rest of the run.
-	parent  schedule.Allocation
-	mutated []int
 }
 
-// Clone returns a deep copy of the individual. Lineage is not carried over:
-// a clone is a free-standing vector, not a delta against its parent.
+// Clone returns a deep copy of the individual.
 func (ind Individual) Clone() Individual {
 	return Individual{Alloc: ind.Alloc.Clone(), Fitness: ind.Fitness, Sigma: ind.Sigma}
 }
@@ -55,34 +44,15 @@ func (ind Individual) Clone() Individual {
 // functions: they are called concurrently from multiple goroutines.
 type Evaluator func(alloc schedule.Allocation, rejectAbove float64) (float64, error)
 
-// DeltaEvaluator is an Evaluator that additionally receives the offspring's
-// lineage: the parent allocation it was mutated from and the positions that
-// were mutated. Implementations may exploit the lineage to skip work (see
-// listsched.Mapper.MakespanDelta) but must return bit-identical results to a
-// lineage-free evaluation of alloc. parent may be nil (no usable lineage);
-// implementations must then fall back to a full evaluation.
-type DeltaEvaluator func(alloc, parent schedule.Allocation, mutated []int, rejectAbove float64) (float64, error)
-
-// BatchItem is one individual of a batch evaluation: the allocation vector
-// plus optional lineage for delta-aware evaluation. It mirrors
-// listsched.BatchItem without importing the package, like the sentinel
-// errors below.
-type BatchItem struct {
-	Alloc   schedule.Allocation
-	Parent  schedule.Allocation
-	Mutated []int
-}
-
-// BatchEvaluator evaluates a whole slice of individuals in one call, writing
+// BatchEvaluator evaluates a whole slice of allocations in one call, writing
 // fitness[i] (on success) or errs[i] (ErrRejected / ErrRejectedPrefilter /
-// other) for every i < len(items); errs entries must be overwritten (nil on
+// other) for every i < len(allocs); errs entries must be overwritten (nil on
 // success). The returned error reports a batch-level failure (e.g. the
 // evaluator could not be constructed), in which case the per-item outputs
 // are meaningless. Implementations must be bit-identical to evaluating each
-// item through the scalar Evaluator/DeltaEvaluator pair; see
-// listsched.BatchMapper. Like Evaluators, each instance is owned by a single
-// worker goroutine.
-type BatchEvaluator func(items []BatchItem, rejectAbove float64, fitness []float64, errs []error) error
+// allocation through the scalar Evaluator; see listsched.BatchMapper. Like
+// Evaluators, each instance is owned by a single worker goroutine.
+type BatchEvaluator func(allocs []schedule.Allocation, rejectAbove float64, fitness []float64, errs []error) error
 
 // ErrRejected is returned by an Evaluator that aborted due to rejectAbove.
 // It mirrors listsched.ErrRejected without importing the package.
@@ -107,11 +77,10 @@ type Mutator interface {
 
 // PositionsMutator is an optional extension of Mutator for operators that can
 // report which positions they touched and work from a caller-owned scratch
-// buffer. Run uses it for two things: zero-allocation offspring generation
-// (the permutation buffer is reused across all offspring of a run) and
-// lineage threading to delta-aware evaluators. MutateInto must consume the
-// RNG in exactly the same call sequence as Mutate, so switching between the
-// two paths cannot change a seeded run.
+// buffer. Run uses it for zero-allocation offspring generation: the
+// permutation buffer is reused across all offspring of a run. MutateInto must
+// consume the RNG in exactly the same call sequence as Mutate, so switching
+// between the two paths cannot change a seeded run.
 type PositionsMutator interface {
 	Mutator
 	// MutateInto is Mutate using perm (grown if needed) as the position
@@ -332,22 +301,14 @@ type Config struct {
 	// (5+25)×5 EMTS run builds 𝑂(workers) arenas instead of ~130. Factory
 	// products must obey the same purity contract as Evaluator.
 	EvaluatorFactory func() Evaluator
-	// DeltaEvaluatorFactory, when non-nil, supplies one (plain, delta)
-	// evaluator pair per worker goroutine and takes precedence over
-	// EvaluatorFactory. The delta evaluator is used for offspring with a
-	// recorded lineage (pure mutations of a live parent); the plain one for
-	// everything else. Both must be backed by the same state so the delta
-	// path sees the same arenas (see core.Run's wiring of
-	// listsched.Mapper.MakespanDelta).
-	DeltaEvaluatorFactory func() (Evaluator, DeltaEvaluator)
 	// BatchEvaluatorFactory, when non-nil, supplies one BatchEvaluator per
 	// worker goroutine; unresolved individuals are then dispatched to the
 	// workers in contiguous chunks instead of one channel send per
 	// individual, and each worker evaluates its chunk in a single call over
 	// structure-of-arrays state (listsched.BatchMapper). The memoization and
 	// deduplication pre-pass is unchanged: only cache misses reach a batch.
-	// Results are bit-identical to the scalar factories, which remain wired
-	// as the fallback for DisableBatch.
+	// Results are bit-identical to the scalar EvaluatorFactory, which remains
+	// wired as the fallback for DisableBatch.
 	BatchEvaluatorFactory func() BatchEvaluator
 	// DisableBatch ignores BatchEvaluatorFactory, forcing per-individual
 	// scalar dispatch. Results are bit-identical either way — the switch
@@ -361,23 +322,11 @@ type Config struct {
 	// switch exists for A/B measurement and regression tests, like
 	// DisableBatch.
 	DisableWorkStealing bool
-	// DisableDelta ignores DeltaEvaluatorFactory's delta evaluator and
-	// lineage information, forcing full evaluations. Results are
-	// bit-identical either way (the delta sweep is exact) — the switch
-	// exists for A/B measurement and regression tests, like DisableCache.
-	DisableDelta bool
 	// DisableCache turns off fitness memoization and within-batch
 	// deduplication. Results are bit-identical either way (the cache is
 	// exact; see Result.CacheHits) — the switch exists for A/B measurement
 	// and regression tests.
 	DisableCache bool
-	// CacheShards stripes the fitness memo cache into this many
-	// independently locked shards (rounded up to a power of two, capped at
-	// 64) so concurrent workers inserting fresh results stop serializing on
-	// one map. 0 sizes the stripe count to Workers. Results are
-	// bit-identical for any shard count: the cache is exact and entries are
-	// located by full-vector comparison, so bucket order never matters.
-	CacheShards int
 	// Seed drives all stochastic choices; equal seeds give equal runs.
 	Seed int64
 	// Islands, when > 1, runs that many independent populations (the
@@ -583,14 +532,11 @@ func uniformCrossover(rng *rand.Rand, child, other schedule.Allocation) {
 //
 // The first stable entries of pool are backed by vectors that stay live and
 // unmutated for the rest of the run (previous parents, or the fresh initial
-// pool); they are passed through without cloning, which both saves the copy
-// and preserves vector identity across generations — the property the
-// delta evaluator's parent-keyed baseline cache relies on
-// (listsched.Mapper.MakespanDelta). Entries at index >= stable are
-// arena-backed offspring and are cloned. Sorting indices instead of the
+// pool); they are passed through without cloning, which saves the copy.
+// Entries at index >= stable are arena-backed offspring, overwritten by the
+// next generation, and are cloned. Sorting indices instead of the
 // individuals keeps the tie-breaking identical to a stable sort of the pool
-// itself. Lineage fields are cleared either way: a parent is a free-standing
-// vector from now on.
+// itself.
 func selectBest(pool []Individual, mu, stable int) []Individual {
 	idx := make([]int, len(pool))
 	for i := range idx {
@@ -605,7 +551,6 @@ func selectBest(pool []Individual, mu, stable int) []Individual {
 		j := idx[i]
 		if j < stable {
 			out[i] = pool[j]
-			out[i].parent, out[i].mutated = nil, nil
 		} else {
 			out[i] = pool[j].Clone()
 		}

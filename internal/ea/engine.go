@@ -34,23 +34,20 @@ import (
 // never changes results: entries are found by full-vector comparison and the
 // same (alloc, fitness) pairs land in the cache in any interleaving.
 type evalEngine struct {
-	fallback     Evaluator
-	factory      func() Evaluator
-	deltaFactory func() (Evaluator, DeltaEvaluator)
-	workers      int
-	perW         []workerEval
-	shards       []cacheShard // empty when memoization is disabled
-	shardMask    uint64
+	fallback  Evaluator
+	factory   func() Evaluator
+	workers   int
+	perW      []Evaluator
+	shards    []cacheShard // empty when memoization is disabled
+	shardMask uint64
 
 	// Batch dispatch (DESIGN.md §13): when batchFactory is non-nil, the
 	// unresolved representatives of each generation are split into contiguous
 	// chunks and each worker evaluates its chunk in one BatchEvaluator call
 	// over structure-of-arrays planes instead of one channel round-trip per
-	// individual. batchDelta gates whether lineage is forwarded into the
-	// batch items (DisableDelta).
+	// individual.
 	batchFactory func() BatchEvaluator
 	perWBatch    []BatchEvaluator
-	batchDelta   bool
 	// stealing selects the work-stealing batch dispatch (steal.go) over the
 	// fixed contiguous chunks; ranges is its per-worker deque scratch,
 	// reused across generations.
@@ -66,7 +63,7 @@ type evalEngine struct {
 	reps   map[uint64][]int
 	// Batch-dispatch scratch: items/fit/batchErrs are indexed like toEval
 	// and sliced disjointly per worker chunk, so chunk writes never overlap.
-	items     []BatchItem
+	items     []schedule.Allocation
 	fit       []float64
 	batchErrs []error
 }
@@ -87,18 +84,9 @@ type cacheShard struct {
 // instead of F individual clones.
 const arenaChunkAllocs = 64
 
-// maxCacheShards caps striping: beyond the core count extra shards only cost
+// maxCacheStripes caps striping: beyond the core count extra shards only cost
 // memory.
-const maxCacheShards = 64
-
-// workerEval is one worker's evaluator pair. delta is nil unless the run
-// wired a DeltaEvaluatorFactory (and DisableDelta is off); when present it
-// handles individuals that carry a lineage, the plain evaluator handles the
-// rest.
-type workerEval struct {
-	eval  Evaluator
-	delta DeltaEvaluator
-}
+const maxCacheStripes = 64
 
 // memoEntry resolves hash collisions by keeping the full vector. The alloc
 // slice is a private copy carved from the shard arena at insert time:
@@ -112,36 +100,17 @@ type memoEntry struct {
 
 func newEvalEngine(cfg Config, fitness Evaluator) *evalEngine {
 	eng := &evalEngine{fallback: fitness, factory: cfg.EvaluatorFactory, workers: cfg.Workers}
-	if cfg.DeltaEvaluatorFactory != nil {
-		if cfg.DisableDelta {
-			// Keep the factory's plain evaluator (it shares arenas with the
-			// delta one) but never dispatch on lineage.
-			eng.factory = func() Evaluator {
-				ev, _ := cfg.DeltaEvaluatorFactory()
-				return ev
-			}
-		} else {
-			eng.deltaFactory = cfg.DeltaEvaluatorFactory
-		}
-	}
 	if cfg.BatchEvaluatorFactory != nil && !cfg.DisableBatch {
 		eng.batchFactory = cfg.BatchEvaluatorFactory
-		eng.batchDelta = !cfg.DisableDelta
 		eng.stealing = !cfg.DisableWorkStealing
 	}
 	if eng.workers <= 0 {
 		eng.workers = runtime.GOMAXPROCS(0)
 	}
 	if !cfg.DisableCache {
-		n := cfg.CacheShards
-		if n <= 0 {
-			n = eng.workers
-		}
-		if n > maxCacheShards {
-			n = maxCacheShards
-		}
-		// Round up to a power of two so shard selection is a mask of the FNV
-		// key's low bits.
+		// One stripe per worker, rounded up to a power of two so shard
+		// selection is a mask of the FNV key's low bits.
+		n := min(eng.workers, maxCacheStripes)
 		if n&(n-1) != 0 {
 			n = 1 << bits.Len(uint(n))
 		}
@@ -174,19 +143,14 @@ func (eng *evalEngine) shard(key uint64) *cacheShard {
 	return &eng.shards[key&eng.shardMask]
 }
 
-// evaluator returns the evaluator pair owned by worker w, constructing it on
-// first use. Must be called before the worker goroutines start.
-func (eng *evalEngine) evaluator(w int) workerEval {
-	if eng.factory == nil && eng.deltaFactory == nil {
-		return workerEval{eval: eng.fallback}
+// evaluator returns the evaluator owned by worker w, constructing it on first
+// use. Must be called before the worker goroutines start.
+func (eng *evalEngine) evaluator(w int) Evaluator {
+	if eng.factory == nil {
+		return eng.fallback
 	}
 	for len(eng.perW) <= w {
-		if eng.deltaFactory != nil {
-			ev, dev := eng.deltaFactory()
-			eng.perW = append(eng.perW, workerEval{eval: ev, delta: dev})
-		} else {
-			eng.perW = append(eng.perW, workerEval{eval: eng.factory()})
-		}
+		eng.perW = append(eng.perW, eng.factory())
 	}
 	return eng.perW[w]
 }
@@ -297,20 +261,14 @@ func (eng *evalEngine) fileOutcome(i int, inds []Individual, f float64, err erro
 	return wasRejected, wasPrefiltered
 }
 
-// evalOne runs one individual through the worker's evaluator pair and files
-// the outcome at its fixed index. Shared with the sequential fast path, so
-// the bookkeeping is identical in both modes.
+// evalOne runs one individual through the worker's evaluator and files the
+// outcome at its fixed index. Shared with the sequential fast path, so the
+// bookkeeping is identical in both modes.
 //
 //schedlint:hotpath
-func (eng *evalEngine) evalOne(ev workerEval, i int, inds []Individual, rejectAbove float64,
+func (eng *evalEngine) evalOne(ev Evaluator, i int, inds []Individual, rejectAbove float64,
 	rejected, prefiltered *atomic.Int64, firstErr *atomic.Pointer[error]) {
-	var f float64
-	var err error
-	if ev.delta != nil && inds[i].parent != nil {
-		f, err = ev.delta(inds[i].Alloc, inds[i].parent, inds[i].mutated, rejectAbove)
-	} else {
-		f, err = ev.eval(inds[i].Alloc, rejectAbove)
-	}
+	f, err := ev(inds[i].Alloc, rejectAbove)
 	rej, pre := eng.fileOutcome(i, inds, f, err, firstErr)
 	if rej {
 		rejected.Add(1)
@@ -328,7 +286,7 @@ func (eng *evalEngine) evalOne(ev workerEval, i int, inds []Individual, rejectAb
 // atomics with two adds per chunk instead of two per individual.
 //
 //schedlint:hotpath
-func (eng *evalEngine) runBatchChunk(ev BatchEvaluator, idxs []int, items []BatchItem,
+func (eng *evalEngine) runBatchChunk(ev BatchEvaluator, idxs []int, items []schedule.Allocation,
 	fit []float64, errs []error, inds []Individual, rejectAbove float64,
 	rejected, prefiltered *atomic.Int64, firstErr *atomic.Pointer[error]) {
 	if err := ev(items, rejectAbove, fit, errs); err != nil {
@@ -357,8 +315,8 @@ func (eng *evalEngine) runBatchChunk(ev BatchEvaluator, idxs []int, items []Batc
 }
 
 // evalBatch dispatches the unresolved representatives in toEval through the
-// batch path: the batch scratch is filled with one BatchItem per individual
-// (lineage included unless delta is disabled) and the rows are evaluated by
+// batch path: the batch scratch is filled with one allocation per individual
+// and the rows are evaluated by
 // worker-owned BatchEvaluators — via the work-stealing range deques of
 // steal.go by default, or in fixed contiguous chunks of w*n/workers rows
 // under DisableWorkStealing. Either way every row's outcome lands at its
@@ -374,12 +332,7 @@ func (eng *evalEngine) evalBatch(toEval []int, inds []Individual, rejectAbove fl
 	eng.fit = growScratch(eng.fit, n)
 	eng.batchErrs = growScratch(eng.batchErrs, n)
 	for k, i := range toEval {
-		it := BatchItem{Alloc: inds[i].Alloc}
-		if eng.batchDelta && inds[i].parent != nil {
-			it.Parent = inds[i].parent
-			it.Mutated = inds[i].mutated
-		}
-		eng.items[k] = it
+		eng.items[k] = inds[i].Alloc
 	}
 	workers := eng.workers
 	if workers > n {
@@ -546,7 +499,7 @@ func (eng *evalEngine) evaluateAll(inds []Individual, rejectAbove float64, res *
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
 				//schedlint:allow hotalloc,hotescape -- one closure per worker per batch, amortized over the whole generation's evaluations
-				go func(ev workerEval) {
+				go func(ev Evaluator) {
 					defer wg.Done()
 					for i := range next {
 						eng.evalOne(ev, i, inds, rejectAbove, &rejected, &prefiltered, &firstErr)

@@ -8,71 +8,28 @@ import (
 	"emts/internal/schedule"
 )
 
-// TestCacheShardsBitIdentical: any shard count — including the degenerate
-// single stripe — yields bit-identical runs. This is the determinism
-// meta-test entry for the CacheShards switch.
-func TestCacheShardsBitIdentical(t *testing.T) {
-	const v, procs = 10, 6
-	target := make(schedule.Allocation, v)
-	for i := range target {
-		target[i] = 1 + i%procs
-	}
-	f := func(seed int64, useRejection bool) bool {
-		cfg := defaultConfig(seed)
-		cfg.Generations = 6
-		cfg.UseRejection = useRejection
-		cfg.Workers = 4
-		cfg.CacheShards = 1
-		ref, err := Run(cfg, v, procs, nil, sphereFitness(target))
-		if err != nil {
-			return false
-		}
-		for _, shards := range []int{4, 64} {
-			cfg.CacheShards = shards
-			got, err := Run(cfg, v, procs, nil, sphereFitness(target))
-			if err != nil {
-				return false
-			}
-			if got.Best.Fitness != ref.Best.Fitness ||
-				!reflect.DeepEqual(got.Best.Alloc, ref.Best.Alloc) ||
-				!reflect.DeepEqual(got.History, ref.History) ||
-				got.Evaluations != ref.Evaluations ||
-				got.Rejections != ref.Rejections ||
-				got.CacheHits != ref.CacheHits {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCacheShardRounding: the stripe count is rounded up to a power of two
-// and capped.
+// TestCacheShardRounding: the stripe count is the worker count rounded up to
+// a power of two and capped.
 func TestCacheShardRounding(t *testing.T) {
 	cases := []struct {
 		in, want int
 	}{{1, 1}, {2, 2}, {3, 4}, {5, 8}, {64, 64}, {100, 64}}
 	for _, c := range cases {
-		eng := newEvalEngine(Config{Workers: 2, CacheShards: c.in}, nil)
+		eng := newEvalEngine(Config{Workers: c.in}, nil)
 		if got := len(eng.shards); got != c.want {
-			t.Errorf("CacheShards %d → %d stripes, want %d", c.in, got, c.want)
+			t.Errorf("Workers %d → %d stripes, want %d", c.in, got, c.want)
 		}
 	}
-	eng := newEvalEngine(Config{Workers: 6}, nil) // default: sized to workers
-	if got := len(eng.shards); got != 8 {
-		t.Errorf("default stripes for 6 workers = %d, want 8", got)
-	}
-	if eng = newEvalEngine(Config{Workers: 2, DisableCache: true}, nil); len(eng.shards) != 0 {
+	if eng := newEvalEngine(Config{Workers: 2, DisableCache: true}, nil); len(eng.shards) != 0 {
 		t.Error("DisableCache left shards allocated")
 	}
 }
 
 // TestSequentialFastPathMatchesParallel: the Workers == 1 inline path (no
 // goroutine, no channel) must produce the same results and counters as the
-// fanned-out path.
+// fanned-out path. The memo cache's stripe count follows the worker count
+// (1, 4 and 64 stripes here), so this also pins that any stripe count —
+// including the degenerate single stripe — yields bit-identical runs.
 func TestSequentialFastPathMatchesParallel(t *testing.T) {
 	const v, procs = 10, 6
 	target := make(schedule.Allocation, v)
@@ -88,17 +45,22 @@ func TestSequentialFastPathMatchesParallel(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		cfg.Workers = 4
-		par, err := Run(cfg, v, procs, nil, sphereFitness(target))
-		if err != nil {
-			return false
+		for _, workers := range []int{4, 64} {
+			cfg.Workers = workers
+			par, err := Run(cfg, v, procs, nil, sphereFitness(target))
+			if err != nil {
+				return false
+			}
+			if seq.Best.Fitness != par.Best.Fitness ||
+				!reflect.DeepEqual(seq.Best.Alloc, par.Best.Alloc) ||
+				!reflect.DeepEqual(seq.History, par.History) ||
+				seq.Evaluations != par.Evaluations ||
+				seq.Rejections != par.Rejections ||
+				seq.CacheHits != par.CacheHits {
+				return false
+			}
 		}
-		return seq.Best.Fitness == par.Best.Fitness &&
-			reflect.DeepEqual(seq.Best.Alloc, par.Best.Alloc) &&
-			reflect.DeepEqual(seq.History, par.History) &&
-			seq.Evaluations == par.Evaluations &&
-			seq.Rejections == par.Rejections &&
-			seq.CacheHits == par.CacheHits
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -107,10 +69,10 @@ func TestSequentialFastPathMatchesParallel(t *testing.T) {
 
 // benchShardContention hammers the memo cache from GOMAXPROCS goroutines —
 // the access pattern of the worker insert tail plus the lookup pre-pass — at
-// a given stripe count. Comparing shards=1 against the default shows what the
-// single-map mutex costs.
+// a given stripe count (set through the worker count). Comparing shards=1
+// against the others shows what the single-map mutex costs.
 func benchShardContention(b *testing.B, shards int) {
-	eng := newEvalEngine(Config{Workers: 8, CacheShards: shards}, nil)
+	eng := newEvalEngine(Config{Workers: shards}, nil)
 	const v, entries = 50, 1024
 	allocs := make([]schedule.Allocation, entries)
 	keys := make([]uint64, entries)
@@ -136,6 +98,6 @@ func benchShardContention(b *testing.B, shards int) {
 	})
 }
 
-func BenchmarkMemoCacheShards1(b *testing.B)  { benchShardContention(b, 1) }
-func BenchmarkMemoCacheShards8(b *testing.B)  { benchShardContention(b, 8) }
-func BenchmarkMemoCacheShards64(b *testing.B) { benchShardContention(b, 64) }
+func BenchmarkMemoCacheStripes1(b *testing.B)  { benchShardContention(b, 1) }
+func BenchmarkMemoCacheStripes8(b *testing.B)  { benchShardContention(b, 8) }
+func BenchmarkMemoCacheStripes64(b *testing.B) { benchShardContention(b, 64) }

@@ -51,13 +51,11 @@ type island struct {
 
 	// Generation-loop arenas, allocated once in init (see the aliasing-rule
 	// comment there).
-	pool       []Individual
-	parents    []Individual
-	offspring  []Individual
-	arena      schedule.Allocation
-	perm       []int
-	lineageBuf []int
-	m0         int
+	pool      []Individual
+	parents   []Individual
+	offspring []Individual
+	arena     schedule.Allocation
+	perm      []int
 
 	// observe receives each generation's GenStats. The single-island path
 	// wires Config.OnGeneration directly; the coordinator wires a buffering
@@ -141,11 +139,6 @@ func (is *island) init() error {
 	is.offspring = make([]Individual, cfg.Lambda)
 	is.arena = make(schedule.Allocation, cfg.Lambda*is.v)
 	is.perm = make([]int, is.v)
-	// lineageBuf holds each offspring's mutated-position list. MutationCount
-	// is non-increasing in u, so the generation-0 count bounds every later
-	// one and λ fixed-size segments suffice.
-	is.m0 = MutationCount(0, cfg.Generations, cfg.Fm, is.v)
-	is.lineageBuf = make([]int, cfg.Lambda*is.m0)
 	is.pool = pool
 	return nil
 }
@@ -162,14 +155,11 @@ func (is *island) step(u int) error {
 		parent := parents[is.rng.Intn(len(parents))]
 		child := is.arena[i*is.v : (i+1)*is.v : (i+1)*is.v]
 		copy(child, parent.Alloc)
-		crossed := false
 		if cfg.CrossoverProb > 0 && len(parents) > 1 && is.rng.Float64() < cfg.CrossoverProb {
 			other := parents[is.rng.Intn(len(parents))].Alloc
 			uniformCrossover(is.rng, child, other)
-			crossed = true
 		}
 		sigma := 0.0
-		var positions []int
 		if cfg.SelfAdaptive {
 			sigma = parent.Sigma
 			if sigma <= 0 {
@@ -182,24 +172,13 @@ func (is *island) step(u int) error {
 			if max := float64(is.procs); sigma > max {
 				sigma = max
 			}
-			positions = PaperMutator{A: 0.2, Sigma1: sigma, Sigma2: sigma}.MutateInto(is.rng, child, m, is.procs, is.perm)
+			PaperMutator{A: 0.2, Sigma1: sigma, Sigma2: sigma}.MutateInto(is.rng, child, m, is.procs, is.perm)
 		} else if is.hasPositions {
-			positions = is.pmut.MutateInto(is.rng, child, m, is.procs, is.perm)
+			is.pmut.MutateInto(is.rng, child, m, is.procs, is.perm)
 		} else {
 			is.mut.Mutate(is.rng, child, m, is.procs)
 		}
 		offspring[i] = Individual{Alloc: child, Sigma: sigma}
-		// Record lineage for delta-aware evaluation: only for pure
-		// mutations (crossover mixes two parents, so the touched-position
-		// set is unknown) and only when the positions fit the per-child
-		// segment. The parent vector is safe to reference: selected
-		// parents are never mutated in place for the rest of the run.
-		if positions != nil && !crossed && len(positions) <= is.m0 {
-			lin := is.lineageBuf[i*is.m0 : i*is.m0+len(positions)]
-			copy(lin, positions)
-			offspring[i].parent = parent.Alloc
-			offspring[i].mutated = lin
-		}
 	}
 	bound := 0.0
 	if cfg.UseRejection {
@@ -375,7 +354,7 @@ func migrate(isls []*island, count int, full bool) {
 	for _, is := range isls {
 		is.outbox = is.outbox[:0]
 		// parents are rank-ordered by selectBest, so the top-count is a
-		// prefix; Clone drops lineage, making migrants free-standing.
+		// prefix; Clone makes migrants free-standing.
 		for i := 0; i < count && i < len(is.parents); i++ {
 			is.outbox = append(is.outbox, is.parents[i].Clone())
 		}
@@ -400,9 +379,9 @@ func migrate(isls []*island, count int, full bool) {
 // parents plus the incoming migrants: rank-ordered by fitness, ties broken
 // by the canonical placement bytes (and then by the stable sort, so an
 // existing parent wins over a byte-identical migrant). Surviving parents
-// pass through identity-stable — the delta evaluator's parent-keyed
-// baselines stay warm — while surviving migrants are cloned, because under
-// the full topology the same outbox clone lands in several inboxes.
+// pass through without a clone — nothing mutates a parent vector — while
+// surviving migrants are cloned, because under the full topology the same
+// outbox clone lands in several inboxes.
 func (is *island) mergeMigrants(inbox []Individual) {
 	if len(inbox) == 0 {
 		return

@@ -1,7 +1,7 @@
 // Work-stealing batch dispatch (DESIGN.md §17). The fixed contiguous-chunk
 // dispatch of evalBatch assigns worker w exactly rows [w·n/W, (w+1)·n/W) —
 // deterministic, but a worker whose rows happen to be cheap (prefilter
-// rejections, delta rows) idles while a loaded peer still crunches. The
+// rejections) idles while a loaded peer still crunches. The
 // stealing dispatch keeps the same initial partition but makes it advisory:
 // each worker drains its own range from the front in grain-sized spans, and
 // when it runs dry it claims spans from the back of its peers' ranges.

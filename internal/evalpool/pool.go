@@ -1,6 +1,6 @@
 // Package evalpool pools listsched.Mapper evaluation arenas across EMTS
-// runs. A Mapper owns ~10 per-instance scratch arrays (bottom levels, ready
-// heap, processor availability, delta state — see listsched.Mapper); under
+// runs. A Mapper owns ~8 per-instance scratch arrays (bottom levels, ready
+// heap, indegrees, processor availability — see listsched.Mapper); under
 // serving load every request used to allocate one Mapper per EA worker and
 // throw them all away. The pool keeps released Mappers filed by shape
 // (task count, processor count): a warm checkout rebinds an existing arena to

@@ -8,11 +8,10 @@ import (
 	"emts/internal/schedule"
 )
 
-// BatchItem is one individual of a batch evaluation: its allocation vector
-// plus optional lineage for delta bottom levels. Parent, when non-nil, must
-// be a live, never-again-mutated allocation vector that differs from Alloc
-// only at the positions listed in Mutated (the contract of
-// Mapper.MakespanDelta).
+// BatchItem is one individual of a batch evaluation: its allocation vector.
+// Parent and Mutated are ignored — every row's bottom levels come from the
+// full sweep — and remain only so callers that still set them keep
+// compiling.
 type BatchItem struct {
 	Alloc   schedule.Allocation
 	Parent  schedule.Allocation
@@ -32,10 +31,9 @@ type BatchItem struct {
 // planes:
 //
 //  1. ingest — validate every allocation and copy it into the alloc plane;
-//  2. bottom levels — fill each row of the bl plane, either by the direct
+//  2. bottom levels — fill each row of the bl plane by the direct
 //     reverse-topological sweep (same formula as dag.BottomLevelsInto, no
-//     per-individual cost closure) or, for rows with lineage, by copying the
-//     parent's baseline row and running the shared delta propagation;
+//     per-individual cost closure);
 //  3. prefilter — one sweep over the alloc and bl planes applies both
 //     admissible lower bounds (prefilterReject) to every row before any
 //     mapping work starts, so hopeless rows never touch the map loop;
@@ -49,16 +47,15 @@ type BatchItem struct {
 //
 // Amortization relative to λ scalar evaluations: one Rebind binds the whole
 // batch (the pool rebinds per checkout, not per individual), plane rows share
-// cache lines across consecutive individuals, parent baselines are computed
-// once per distinct parent for the whole batch, and the bl sweep indexes the
+// cache lines across consecutive individuals, and the bl sweep indexes the
 // table directly instead of calling through a closure.
 //
 // A BatchMapper is NOT safe for concurrent use: each worker goroutine owns
 // its own instance and evaluates its chunk of the generation (see
 // ea.Config.BatchEvaluatorFactory). Results are bit-identical to the scalar
-// Mapper by construction — phases 2–4 run the same shared code paths
-// (deltaBottomLevels, prefilterReject, runMapLoop) over the same float
-// semantics.
+// Mapper by construction — phases 2–4 run the same float operation sequence
+// as dag.BottomLevelsInto and the same shared code (prefilterReject,
+// runMapLoop).
 type BatchMapper struct {
 	g     *dag.Graph
 	tab   *model.Table
@@ -75,13 +72,9 @@ type BatchMapper struct {
 	// batch.
 	st mapState
 
-	// Delta state shared with the scalar path (see Mapper for invariants).
+	// topoOrder is the graph's topological order, swept backwards by
+	// bottomLevelsRow.
 	topoOrder []dag.TaskID
-	topoPos   []int32
-	inq       []bool
-
-	baselines [baselineCap]blBaseline
-	nextBase  int
 }
 
 // NewBatchMapper returns a BatchMapper for the given graph and table. Planes
@@ -97,26 +90,22 @@ func NewBatchMapper(g *dag.Graph, tab *model.Table) (*BatchMapper, error) {
 // Rebind points an existing BatchMapper at a new (graph, table) pair, reusing
 // every plane whose capacity suffices; for a pair of the same shape it
 // performs zero heap allocations once the planes have grown to the working
-// batch size. Pair-dependent cached state (baselines, delta flags) is
-// cleared, mirroring Mapper.Rebind.
+// batch size. Mirroring Mapper.Rebind, results afterwards are bit-identical
+// to those of a fresh NewBatchMapper(g, tab).
 //
 //schedlint:hotpath
 func (b *BatchMapper) Rebind(g *dag.Graph, tab *model.Table) error {
 	return b.bind(g, tab)
 }
 
-// Release drops the graph, table, and baseline-key references so a pooled
-// BatchMapper does not pin request-scoped objects. Planes are retained for
-// the next Rebind.
+// Release drops the graph and table references so a pooled BatchMapper does
+// not pin request-scoped objects. Planes are retained for the next Rebind.
 //
 //schedlint:hotpath
 func (b *BatchMapper) Release() {
 	b.g = nil
 	b.tab = nil
 	b.st.ready.bl = nil
-	for i := range b.baselines {
-		b.baselines[i].key = nil
-	}
 }
 
 // Shape reports the (task count, processor count) the planes are row-sized
@@ -143,14 +132,6 @@ func (b *BatchMapper) bind(g *dag.Graph, tab *model.Table) error {
 	}
 	b.g, b.tab, b.procs, b.tasks = g, tab, tab.Procs(), n
 	b.topoOrder = order
-	b.topoPos = grow(b.topoPos, n)
-	for i, v := range order {
-		b.topoPos[v] = int32(i)
-	}
-	b.inq = grow(b.inq, n)
-	for i := range b.inq {
-		b.inq[i] = false
-	}
 	b.st.indeg = grow(b.st.indeg, n)
 	b.st.readyTime = grow(b.st.readyTime, n)
 	b.st.avail = grow(b.st.avail, b.procs)
@@ -166,10 +147,6 @@ func (b *BatchMapper) bind(g *dag.Graph, tab *model.Table) error {
 	}
 	b.st.ready.items = b.st.ready.items[:0]
 	b.st.ready.bl = nil
-	for i := range b.baselines {
-		b.baselines[i].key = nil
-	}
-	b.nextBase = 0
 	return nil
 }
 
@@ -191,7 +168,7 @@ func (b *BatchMapper) ensureRows(rows int) {
 // Outcomes per row: errs[i] == nil and fitness[i] holds the makespan;
 // errs[i] == ErrRejectedPrefilter (an admissible bound exceeded
 // opt.RejectAbove before mapping); errs[i] == ErrRejected (the in-loop bound
-// check fired); or another error (invalid allocation or lineage). fitness
+// check fired); or another error (invalid allocation). fitness
 // and errs must have at least len(items) entries; entries of errs are
 // overwritten (nil on success).
 //
@@ -225,29 +202,15 @@ func (b *BatchMapper) EvalBatch(items []BatchItem, opt Options, fitness []float6
 		}
 	}
 
-	// Phase 2: bottom levels, one row per live individual. Lineage rows copy
-	// the parent's baseline and run the shared delta propagation; the rest
-	// take the direct reverse-topological sweep. Both fill the row with the
-	// exact bits dag.BottomLevelsInto would produce.
+	// Phase 2: bottom levels, one row per live individual, by the direct
+	// reverse-topological sweep — the exact bits dag.BottomLevelsInto would
+	// produce.
 	for r := range items {
 		if errs[r] != nil {
 			continue
 		}
 		alloc := schedule.Allocation(b.allocPlane[r*n : (r+1)*n])
-		bl := b.blPlane[r*n : (r+1)*n]
-		it := &items[r]
-		if it.Parent != nil && len(it.Parent) == n && len(it.Mutated) > 0 &&
-			len(it.Mutated)*deltaMutatedDenom <= n {
-			base, err := b.baseline(it.Parent)
-			if err != nil {
-				errs[r] = err
-				continue
-			}
-			copy(bl, base)
-			deltaBottomLevels(b.g, b.tab, alloc, bl, b.topoOrder, b.topoPos, b.inq, it.Mutated)
-		} else {
-			bottomLevelsRow(b.g, b.tab, alloc, bl, b.topoOrder)
-		}
+		bottomLevelsRow(b.g, b.tab, alloc, b.blPlane[r*n:(r+1)*n], b.topoOrder)
 	}
 
 	// Phase 3: prefilter sweep. Both admissible bounds run over every live
@@ -282,29 +245,6 @@ func (b *BatchMapper) EvalBatch(items []BatchItem, opt Options, fitness []float6
 		alloc := schedule.Allocation(b.allocPlane[r*n : (r+1)*n])
 		fitness[r], errs[r] = runMapLoop(b.g, b.tab, b.procs, alloc, st, mapOpt, nil, nil)
 	}
-}
-
-// baseline returns the cached bottom-level row for parent, computing and
-// caching it on first sight — the batch twin of Mapper.baseline, sharing the
-// same ring semantics and pointer-identity keying.
-//
-//schedlint:hotpath
-func (b *BatchMapper) baseline(parent schedule.Allocation) ([]float64, error) {
-	key := &parent[0]
-	for i := range b.baselines {
-		if b.baselines[i].key == key {
-			return b.baselines[i].bl, nil
-		}
-	}
-	if err := parent.Validate(b.g, b.procs); err != nil {
-		return nil, err
-	}
-	slot := &b.baselines[b.nextBase]
-	b.nextBase = (b.nextBase + 1) % baselineCap
-	slot.bl = grow(slot.bl, b.tasks)
-	bottomLevelsRow(b.g, b.tab, parent, slot.bl, b.topoOrder)
-	slot.key = key
-	return slot.bl, nil
 }
 
 // bottomLevelsRow fills bl with the bottom levels of alloc by the same

@@ -12,29 +12,24 @@ import (
 	"emts/internal/schedule"
 )
 
-// batchOf derives a mixed batch from parent: the parent itself (no lineage),
-// lineage offspring (children with their mutated positions recorded), plain
-// offspring (same vectors, lineage stripped), and one duplicate row. This is
-// the row mix the EA produces: full-sweep rows and delta rows interleaved.
+// batchOf derives a mixed batch from parent: the parent itself, offspring
+// with few and with many mutated positions, and one duplicate row — the row
+// mix the EA produces.
 func batchOf(rng *rand.Rand, parent schedule.Allocation, procs int) []BatchItem {
 	items := []BatchItem{{Alloc: parent}}
 	for j := 0; j < 3; j++ {
-		child, mutated := mutateRandom(rng, parent, 1+rng.Intn(3), procs)
-		items = append(items, BatchItem{Alloc: child, Parent: parent, Mutated: mutated})
+		items = append(items, BatchItem{Alloc: mutateRandom(rng, parent, 1+rng.Intn(3), procs)})
 	}
 	for j := 0; j < 2; j++ {
-		child, _ := mutateRandom(rng, parent, 1+rng.Intn(len(parent)), procs)
-		items = append(items, BatchItem{Alloc: child})
+		items = append(items, BatchItem{Alloc: mutateRandom(rng, parent, 1+rng.Intn(len(parent)), procs)})
 	}
-	items = append(items, items[1]) // duplicate row: same vector, same lineage
+	items = append(items, items[1]) // duplicate row
 	return items
 }
 
 // checkBatchScalarIdentity evaluates items through EvalBatch and through the
 // scalar Mapper under the same options and reports whether every row's
-// (fitness, sentinel) outcome is bit-identical. Scalar dispatch mirrors the
-// engine's: lineage rows go through MakespanDelta, the rest through
-// MakespanOpts.
+// (fitness, sentinel) outcome is bit-identical.
 func checkBatchScalarIdentity(t testing.TB, bm *BatchMapper, m *Mapper, items []BatchItem, opt Options) bool {
 	t.Helper()
 	fit := make([]float64, len(items))
@@ -42,13 +37,7 @@ func checkBatchScalarIdentity(t testing.TB, bm *BatchMapper, m *Mapper, items []
 	bm.EvalBatch(items, opt, fit, errs)
 	ok := true
 	for i, it := range items {
-		var want float64
-		var wantErr error
-		if it.Parent != nil {
-			want, wantErr = m.MakespanDelta(it.Alloc, it.Parent, it.Mutated, opt)
-		} else {
-			want, wantErr = m.MakespanOpts(it.Alloc, opt)
-		}
+		want, wantErr := m.MakespanOpts(it.Alloc, opt)
 		if wantErr != nil || errs[i] != nil {
 			// Sentinels must match exactly: the engine distinguishes
 			// ErrRejectedPrefilter from ErrRejected when counting.
@@ -68,7 +57,7 @@ func checkBatchScalarIdentity(t testing.TB, bm *BatchMapper, m *Mapper, items []
 }
 
 // TestBatchMatchesScalar is the tentpole property test: across random
-// instances and mixed batches (full-sweep rows, delta rows, duplicates),
+// instances and mixed batches (few- and many-allele offspring, duplicates),
 // EvalBatch must be bit-identical to per-row scalar evaluation — unbounded,
 // across bounds straddling the makespan, and with the prefilter on and off.
 func TestBatchMatchesScalar(t *testing.T) {
@@ -190,9 +179,9 @@ func TestBatchMapperRebind(t *testing.T) {
 	}
 }
 
-// TestBatchEvalZeroAllocs pins the batch hot path: once the planes and the
-// parent baseline are warm, a full EvalBatch — delta rows, full-sweep rows,
-// prefilter sweep, rejections, and all — performs zero heap allocations.
+// TestBatchEvalZeroAllocs pins the batch hot path: once the planes are warm, a
+// full EvalBatch — bottom-level sweeps, prefilter sweep, rejections, and all —
+// performs zero heap allocations.
 func TestBatchEvalZeroAllocs(t *testing.T) {
 	g, err := daggen.Random(daggen.RandomConfig{
 		N: 120, Width: 0.5, Regularity: 0.5, Density: 0.5, Jump: 2,
@@ -213,7 +202,7 @@ func TestBatchEvalZeroAllocs(t *testing.T) {
 	items := batchOf(rng, parent, tab.Procs())
 	fit := make([]float64, len(items))
 	errs := make([]error, len(items))
-	bm.EvalBatch(items, Options{}, fit, errs) // warm up: grows planes, builds the baseline
+	bm.EvalBatch(items, Options{}, fit, errs) // warm up: grows the planes
 	full := fit[0]
 
 	for _, opt := range []Options{{}, {RejectAbove: full}, {RejectAbove: full / 2}} {

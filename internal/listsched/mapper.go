@@ -50,42 +50,6 @@ type Mapper struct {
 	cost dag.CostFunc
 
 	st mapState
-
-	// Delta-evaluation state (DESIGN.md §10, Layer 3). topoPos[v] is v's
-	// index in the graph's topological order and topoOrder is its inverse.
-	// MakespanDelta walks topoOrder backwards from the highest mutated
-	// position, recomputing only tasks flagged dirty in inq, so every
-	// successor's bottom level is final before a task is recomputed. A clean
-	// task costs one flag load, which keeps the sweep no worse than the full
-	// O(V+E) one even when most of the graph is affected. inq is cleared as
-	// tasks are visited, so no O(V) reset is needed between calls.
-	topoPos   []int32
-	topoOrder []dag.TaskID
-	inq       []bool
-
-	// baselines is a small ring of parent bottom-level rows keyed by the
-	// identity (&parent[0]) of the parent's allocation vector. Identity
-	// keying is sound because the EA never mutates a parent vector after
-	// selection, and holding the pointer keeps the backing array alive, so
-	// an address is never reused while its entry is cached.
-	baselines [baselineCap]blBaseline
-	nextBase  int
-}
-
-// baselineCap bounds the baseline ring: parents per generation is μ (≤ 10
-// for the paper's strategies), so 16 slots cover a full generation with room
-// for the incumbent best.
-const baselineCap = 16
-
-// deltaMutatedDenom gates MakespanDelta: the delta sweep engages only when
-// mutated positions number at most NumTasks/deltaMutatedDenom. Measured on
-// the 100-task EMTS5 instance benchmark, the crossover between the delta and
-// full sweeps sits near a quarter of the tasks mutated.
-const deltaMutatedDenom = 4
-
-type blBaseline struct {
-	key *int
-	bl  []float64
 }
 
 // NewMapper returns a Mapper for the given graph and execution-time table.
@@ -101,23 +65,21 @@ func NewMapper(g *dag.Graph, tab *model.Table) (*Mapper, error) {
 
 // Rebind points an existing Mapper at a new (graph, table) pair, reusing
 // every arena whose capacity suffices — for a pair of the same shape (task
-// count, processor count) it performs zero heap allocations. All cached state
-// that depends on the previous pair (bottom-level baselines, delta dirty
-// flags) is cleared, so results after a Rebind are bit-identical to those of
-// a fresh NewMapper(g, tab). This is the pool reset protocol of DESIGN.md
-// §12: evalpool checks Mappers out per request and rebinds them instead of
-// reallocating ~10 arenas per worker per request.
+// count, processor count) it performs zero heap allocations. The map loop
+// re-initializes every arena it reads, so results after a Rebind are
+// bit-identical to those of a fresh NewMapper(g, tab). This is the pool reset
+// protocol of DESIGN.md §12: evalpool checks Mappers out per request and
+// rebinds them instead of reallocating ~8 arenas per worker per request.
 //
 //schedlint:hotpath
 func (m *Mapper) Rebind(g *dag.Graph, tab *model.Table) error {
 	return m.bind(g, tab)
 }
 
-// Release drops the graph, table, and baseline-key references so a Mapper
-// parked in a pool does not pin request-scoped objects (interned graphs and
-// tables must stay evictable, and baseline keys hold parent allocation
-// vectors alive). Arenas are retained; a subsequent Rebind restores the
-// Mapper to service.
+// Release drops the graph and table references so a Mapper parked in a pool
+// does not pin request-scoped objects (interned graphs and tables must stay
+// evictable). Arenas are retained; a subsequent Rebind restores the Mapper to
+// service.
 //
 //schedlint:hotpath
 func (m *Mapper) Release() {
@@ -125,9 +87,6 @@ func (m *Mapper) Release() {
 	m.tab = nil
 	m.cur = nil
 	m.st.ready.bl = nil
-	for i := range m.baselines {
-		m.baselines[i].key = nil
-	}
 }
 
 // Shape reports the (task count, processor count) the Mapper's arenas are
@@ -155,10 +114,6 @@ func (m *Mapper) bind(g *dag.Graph, tab *model.Table) error {
 		//schedlint:allow hotalloc,sentinelerr,hotescape -- cold validation path: a shape mismatch is a caller bug, never the steady-state rebind
 		return fmt.Errorf("listsched: table covers %d tasks, graph has %d", tab.NumTasks(), g.NumTasks())
 	}
-	order, err := g.TopologicalOrderInto(m.topoOrder)
-	if err != nil {
-		return err
-	}
 	m.g, m.tab, m.procs = g, tab, tab.Procs()
 	n := g.NumTasks()
 	m.st.bl = grow(m.st.bl, n)
@@ -177,21 +132,6 @@ func (m *Mapper) bind(g *dag.Graph, tab *model.Table) error {
 	}
 	m.st.ready.items = m.st.ready.items[:0]
 	m.st.ready.bl = nil
-	m.topoOrder = order
-	m.topoPos = grow(m.topoPos, n)
-	for i, v := range order {
-		m.topoPos[v] = int32(i)
-	}
-	m.inq = grow(m.inq, n)
-	for i := range m.inq {
-		m.inq[i] = false
-	}
-	// Baseline rows cache bottom levels of the previous pair; invalidate the
-	// keys but keep the float rows for reuse by the next binding.
-	for i := range m.baselines {
-		m.baselines[i].key = nil
-	}
-	m.nextBase = 0
 	m.cur = nil
 	return nil
 }
@@ -223,132 +163,6 @@ func (m *Mapper) MakespanBounded(alloc schedule.Allocation, rejectAbove float64)
 func (m *Mapper) MakespanOpts(alloc schedule.Allocation, opt Options) (float64, error) {
 	opt.SkipProcSets = true
 	return m.mapLoop(alloc, opt, nil, nil)
-}
-
-// MakespanDelta is MakespanOpts for an offspring whose allocation differs
-// from a known parent only at the given mutated positions. Instead of the
-// full O(V+E) bottom-level sweep it copies the parent's cached bottom levels
-// and recomputes only the mutated tasks and those of their ancestors whose
-// value actually changes, in reverse-topological order with the exact same
-// formula as dag.BottomLevelsInto — so the resulting array, and therefore
-// the schedule, is bit-for-bit identical to a full evaluation (DESIGN.md
-// §10, Layer 3).
-//
-// The caller contract: parent must be a live, never-again-mutated allocation
-// vector (EA parents satisfy this), len(parent) == len(alloc), and alloc[i]
-// == parent[i] for every i not listed in mutated. mutated may list positions
-// whose new value equals the old one; those simply terminate propagation
-// immediately. If parent is nil or the lineage is unusable, this falls back
-// to MakespanOpts.
-//
-//schedlint:hotpath
-func (m *Mapper) MakespanDelta(alloc, parent schedule.Allocation, mutated []int, opt Options) (float64, error) {
-	opt.SkipProcSets = true
-	n := m.g.NumTasks()
-	if parent == nil || len(parent) != len(alloc) || len(alloc) != n || len(mutated) == 0 {
-		return m.mapLoop(alloc, opt, nil, nil)
-	}
-	// The delta sweep only wins while the affected region is small: every
-	// changed task also scans its predecessor list to flag ancestors, so once
-	// a sizable fraction of tasks mutates the sweep costs more than the plain
-	// linear one. Mutation counts decay over generations (Eq. 1), so early
-	// broad steps fall through to the full sweep and later refinement steps
-	// take the delta path. Both paths are bit-identical by construction.
-	if len(mutated)*deltaMutatedDenom > n {
-		return m.mapLoop(alloc, opt, nil, nil)
-	}
-	if err := alloc.Validate(m.g, m.procs); err != nil {
-		return 0, err
-	}
-	base, err := m.baseline(parent)
-	if err != nil {
-		return 0, err
-	}
-	bl := m.st.bl[:n]
-	copy(bl, base)
-
-	m.cur = alloc
-	deltaBottomLevels(m.g, m.tab, alloc, bl, m.topoOrder, m.topoPos, m.inq, mutated)
-	m.cur = nil
-	return m.run(alloc, opt, nil, nil)
-}
-
-// deltaBottomLevels recomputes the affected bottom levels of bl in place
-// after the positions in mutated changed alloc: it flags the mutated tasks
-// dirty, then walks the topological order backwards from the highest flagged
-// position so successors are final before their predecessors, and stops
-// propagating wherever the recomputed value is bitwise unchanged. pending
-// counts outstanding dirty tasks (predecessors always sit at lower positions,
-// so none can be missed) and lets the walk exit as soon as the last one is
-// resolved. inq must be all-false on entry; it is restored to all-false on
-// return. Shared by the scalar MakespanDelta and the batch lineage rows
-// (BatchMapper), so both produce the exact same bits.
-//
-//schedlint:hotpath
-func deltaBottomLevels(g *dag.Graph, tab *model.Table, alloc schedule.Allocation, bl []float64,
-	topoOrder []dag.TaskID, topoPos []int32, inq []bool, mutated []int) {
-	pending := 0
-	maxPos := int32(-1)
-	for _, p := range mutated {
-		v := dag.TaskID(p)
-		if !inq[v] {
-			inq[v] = true
-			pending++
-			if topoPos[v] > maxPos {
-				maxPos = topoPos[v]
-			}
-		}
-	}
-	for pos := maxPos; pos >= 0 && pending > 0; pos-- {
-		v := topoOrder[pos]
-		if !inq[v] {
-			continue
-		}
-		inq[v] = false
-		pending--
-		maxSucc := 0.0
-		for _, s := range g.Successors(v) {
-			if bl[s] > maxSucc {
-				maxSucc = bl[s]
-			}
-		}
-		nb := tab.Time(v, alloc[v]) + maxSucc
-		//schedlint:allow floateq -- bitwise change detection: propagation stops exactly when the recomputed value equals the stored one, which keeps the delta sweep bit-identical to a full sweep
-		if nb == bl[v] {
-			continue
-		}
-		bl[v] = nb
-		for _, q := range g.Predecessors(v) {
-			if !inq[q] {
-				inq[q] = true
-				pending++
-			}
-		}
-	}
-}
-
-// baseline returns the cached bottom-level row for parent, computing and
-// caching it on first sight. Rows are keyed by &parent[0]; see the field
-// comment on Mapper.baselines for why pointer identity is sound.
-//
-//schedlint:hotpath
-func (m *Mapper) baseline(parent schedule.Allocation) ([]float64, error) {
-	key := &parent[0]
-	for i := range m.baselines {
-		if m.baselines[i].key == key {
-			return m.baselines[i].bl, nil
-		}
-	}
-	if err := parent.Validate(m.g, m.procs); err != nil {
-		return nil, err
-	}
-	slot := &m.baselines[m.nextBase]
-	m.nextBase = (m.nextBase + 1) % baselineCap
-	m.cur = parent
-	slot.bl = m.g.BottomLevelsInto(m.cost, slot.bl)
-	m.cur = nil
-	slot.key = key
-	return slot.bl, nil
 }
 
 // Map builds the full schedule for the given allocation with default options.
@@ -399,16 +213,7 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 	m.st.bl = bl
 	m.cur = nil // cost is not consulted past this point; drop the reference
 
-	return m.run(alloc, opt, entries, procArena)
-}
-
-// run is the map loop proper. It assumes alloc has been validated and m.st.bl
-// holds the bottom levels for alloc (either from a full sweep or a delta
-// update — both produce identical bits).
-//
-//schedlint:hotpath
-func (m *Mapper) run(alloc schedule.Allocation, opt Options, entries []schedule.Entry, procArena []int) (float64, error) {
-	return runMapLoop(m.g, m.tab, m.procs, alloc, &m.st, opt, entries, procArena)
+	return runMapLoop(g, m.tab, m.procs, alloc, &m.st, opt, entries, procArena)
 }
 
 // runMapLoop executes the map loop over the scratch bundled in st. It assumes

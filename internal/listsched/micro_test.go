@@ -10,7 +10,7 @@ import (
 	"emts/internal/schedule"
 )
 
-func microSetup(b *testing.B, m int) (*Mapper, schedule.Allocation, schedule.Allocation, []int, float64) {
+func microSetup(b *testing.B, m int) (*Mapper, schedule.Allocation, float64) {
 	b.Helper()
 	g, err := daggen.Random(daggen.RandomConfig{
 		N: 100, Width: 0.5, Regularity: 0.5, Density: 0.5, Jump: 2,
@@ -28,19 +28,16 @@ func microSetup(b *testing.B, m int) (*Mapper, schedule.Allocation, schedule.All
 	for i := range parent {
 		parent[i] = 1 + rng.Intn(tab.Procs())
 	}
-	child, mutated := mutateRandom(rng, parent, m, tab.Procs())
+	child := mutateRandom(rng, parent, m, tab.Procs())
 	full, err := mp.Makespan(parent)
 	if err != nil {
 		b.Fatal(err)
 	}
-	if _, err := mp.MakespanDelta(child, parent, mutated, Options{}); err != nil {
-		b.Fatal(err)
-	}
-	return mp, parent, child, mutated, full
+	return mp, child, full
 }
 
 func BenchmarkMicroFullRejected(b *testing.B) {
-	mp, _, child, _, full := microSetup(b, 7)
+	mp, child, full := microSetup(b, 7)
 	opt := Options{RejectAbove: full * 0.5, DisablePrefilter: true}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -48,30 +45,11 @@ func BenchmarkMicroFullRejected(b *testing.B) {
 	}
 }
 
-func BenchmarkMicroDeltaRejected(b *testing.B) {
-	mp, parent, child, mutated, full := microSetup(b, 7)
-	opt := Options{RejectAbove: full * 0.5, DisablePrefilter: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mp.MakespanDelta(child, parent, mutated, opt)
-	}
-}
-
 func BenchmarkMicroFullAccepted(b *testing.B) {
-	mp, _, child, _, _ := microSetup(b, 7)
+	mp, child, _ := microSetup(b, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mp.Makespan(child); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkMicroDeltaAccepted(b *testing.B) {
-	mp, parent, child, mutated, _ := microSetup(b, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mp.MakespanDelta(child, parent, mutated, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

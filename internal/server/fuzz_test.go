@@ -8,7 +8,8 @@ import (
 
 // FuzzDecodeScheduleRequest hammers the /v1/schedule request decoder: it must
 // never panic, and whatever it accepts must be internally consistent (resolved
-// cluster, canonical key, acyclic graph with in-range edges).
+// cluster, canonical key, acyclic graph with in-range edges) and within the
+// table-cell budget.
 func FuzzDecodeScheduleRequest(f *testing.F) {
 	seeds := []string{
 		`{}`,
@@ -19,6 +20,7 @@ func FuzzDecodeScheduleRequest(f *testing.F) {
 		`{"graph":{"tasks":[{"flops":-1}]},"cluster":{"preset":"chti"}}`,
 		`{"graph":{"tasks":[{"flops":1,"alpha":2}]},"cluster":{"preset":"chti"}}`,
 		`{"graph":{"tasks":[{"flops":1}],"edges":[[0,0]]},"cluster":{"preset":"chti"}}`,
+		`{"graph":{"tasks":[{"flops":1},{"flops":2}]},"cluster":{"procs":200000000,"speed_gflops":1}}`,
 		`[1,2,3]`,
 		`nonsense`,
 	}
@@ -46,6 +48,10 @@ func FuzzDecodeScheduleRequest(f *testing.F) {
 		}
 		if p.cluster.Procs <= 0 || p.cluster.SpeedGFlops <= 0 {
 			t.Fatalf("accepted request with unresolved cluster %+v", p.cluster)
+		}
+		if cells := int64(p.graph.NumTasks()) * int64(p.cluster.Procs); cells > maxTableCells {
+			t.Fatalf("accepted a %d-cell table (%d tasks × %d procs), budget %d",
+				cells, p.graph.NumTasks(), p.cluster.Procs, maxTableCells)
 		}
 		if p.model == "" || p.algorithm == "" {
 			t.Fatal("accepted request without model/algorithm defaults")

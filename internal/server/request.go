@@ -69,6 +69,11 @@ func requestErrorf(field, msg string, args ...interface{}) *RequestError {
 	return &RequestError{Field: field, Msg: fmt.Sprintf(msg, args...)}
 }
 
+// maxTableCells bounds tasks × procs, the size of the execution-time table a
+// request makes the server build: 1<<24 float64 cells is 128 MiB. Without it
+// a few hundred bytes naming a huge inline cluster would allocate gigabytes.
+const maxTableCells = 1 << 24
+
 // parsedRequest is a fully validated schedule request: the decoded graph, the
 // resolved cluster, normalized names, and the canonical cache key.
 type parsedRequest struct {
@@ -92,9 +97,10 @@ type parsedRequest struct {
 
 // parseScheduleRequest decodes and validates an untrusted request body.
 // maxTasks bounds the accepted graph size and maxIslands the requested island
-// count (0 = unlimited for both). When graphs is non-nil, the graph is
-// resolved through the intern: a repeat submission of the same bytes skips
-// JSON decoding, graph construction, and the canonical re-encoding entirely.
+// count (0 = unlimited for both); tasks × procs is always bounded by
+// maxTableCells. When graphs is non-nil, the graph is resolved through the
+// intern: a repeat submission of the same bytes skips JSON decoding, graph
+// construction, and the canonical re-encoding entirely.
 // All rejections are typed (*RequestError or *dag.DecodeError) and identical
 // with or without an intern.
 func parseScheduleRequest(body []byte, maxTasks, maxIslands int, graphs *intern.Graphs) (*parsedRequest, error) {
@@ -145,6 +151,11 @@ func parseScheduleRequest(body []byte, maxTasks, maxIslands int, graphs *intern.
 	cluster, err := req.Cluster.resolve()
 	if err != nil {
 		return nil, err
+	}
+	// Divide instead of multiplying so the check cannot overflow.
+	if cluster.Procs > maxTableCells/g.NumTasks() {
+		return nil, requestErrorf("cluster.procs", "%d processors for %d tasks exceeds the admission limit of %d table cells",
+			cluster.Procs, g.NumTasks(), maxTableCells)
 	}
 	if req.TimeoutMS < 0 {
 		return nil, requestErrorf("timeout_ms", "negative value %d", req.TimeoutMS)

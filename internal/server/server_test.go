@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -145,6 +146,38 @@ func TestScheduleValidationErrors(t *testing.T) {
 				t.Fatalf("error field %q, want %q (%s)", er.Field, tc.field, body)
 			}
 		})
+	}
+}
+
+// TestOversizedTableRejected: a tiny body naming a huge inline cluster must be
+// refused with a typed 400 on cluster.procs by both the synchronous and the
+// async endpoint, before any tasks × procs table is built.
+func TestOversizedTableRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	body := []byte(`{"graph":{"tasks":[{"flops":1},{"flops":2}],"edges":[[0,1]]},` +
+		`"cluster":{"name":"huge","procs":200000000,"speed_gflops":1},"algorithm":"emts5","seed":1}`)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, path := range []string{"/v1/schedule", "/v1/jobs"} {
+		resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400 (%s)", path, resp.StatusCode, b)
+		}
+		var er struct {
+			Field string `json:"field"`
+		}
+		if err := json.Unmarshal(b, &er); err != nil || er.Field != "cluster.procs" {
+			t.Fatalf("%s: error body %s, want field cluster.procs", path, b)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	// The refused table would be 2 × 200000000 float64s, 3.2 GB.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("rejecting the request allocated %d bytes", grew)
 	}
 }
 

@@ -132,9 +132,6 @@ type Options struct {
 	// The server's CPU governor sets this per request so one lone request
 	// fans out to all cores while concurrent requests degrade gracefully.
 	Workers int
-	// CacheShards stripes the EMTS fitness memo cache (see
-	// ea.Config.CacheShards); 0 picks a default.
-	CacheShards int
 	// MapperPool, when non-nil, lends listsched.Mapper arenas to the run and
 	// takes them back when it finishes (see core.Params.MapperPool).
 	MapperPool *evalpool.Pool
@@ -181,7 +178,6 @@ func RunTableOpts(ctx context.Context, g *dag.Graph, cluster platform.Cluster, t
 			params = core.EMTS10(seed)
 		}
 		params.Workers = opt.Workers
-		params.CacheShards = opt.CacheShards
 		params.MapperPool = opt.MapperPool
 		params.OnGeneration = opt.OnGeneration
 		params.Islands = opt.Islands
