@@ -8,6 +8,47 @@ import (
 	"emts/internal/schedule"
 )
 
+// TestCacheShardsBitIdentical: any stripe count yields bit-identical runs.
+// The stripe count follows the worker count, so the fanned-out path is run
+// at 2, 4, 8 and 64 stripes (Workers 2, 3, 5 and 100, the last one capped);
+// TestSequentialFastPathMatchesParallel covers the single stripe.
+func TestCacheShardsBitIdentical(t *testing.T) {
+	const v, procs = 10, 6
+	target := make(schedule.Allocation, v)
+	for i := range target {
+		target[i] = 1 + i%procs
+	}
+	f := func(seed int64, useRejection bool) bool {
+		cfg := defaultConfig(seed)
+		cfg.Generations = 6
+		cfg.UseRejection = useRejection
+		cfg.Workers = 2
+		ref, err := Run(cfg, v, procs, nil, sphereFitness(target))
+		if err != nil {
+			return false
+		}
+		for _, workers := range []int{3, 5, 100} {
+			cfg.Workers = workers
+			got, err := Run(cfg, v, procs, nil, sphereFitness(target))
+			if err != nil {
+				return false
+			}
+			if got.Best.Fitness != ref.Best.Fitness ||
+				!reflect.DeepEqual(got.Best.Alloc, ref.Best.Alloc) ||
+				!reflect.DeepEqual(got.History, ref.History) ||
+				got.Evaluations != ref.Evaluations ||
+				got.Rejections != ref.Rejections ||
+				got.CacheHits != ref.CacheHits {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestCacheShardRounding: the stripe count is the worker count rounded up to
 // a power of two and capped.
 func TestCacheShardRounding(t *testing.T) {
@@ -27,9 +68,7 @@ func TestCacheShardRounding(t *testing.T) {
 
 // TestSequentialFastPathMatchesParallel: the Workers == 1 inline path (no
 // goroutine, no channel) must produce the same results and counters as the
-// fanned-out path. The memo cache's stripe count follows the worker count
-// (1, 4 and 64 stripes here), so this also pins that any stripe count —
-// including the degenerate single stripe — yields bit-identical runs.
+// fanned-out path.
 func TestSequentialFastPathMatchesParallel(t *testing.T) {
 	const v, procs = 10, 6
 	target := make(schedule.Allocation, v)
@@ -45,22 +84,17 @@ func TestSequentialFastPathMatchesParallel(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, workers := range []int{4, 64} {
-			cfg.Workers = workers
-			par, err := Run(cfg, v, procs, nil, sphereFitness(target))
-			if err != nil {
-				return false
-			}
-			if seq.Best.Fitness != par.Best.Fitness ||
-				!reflect.DeepEqual(seq.Best.Alloc, par.Best.Alloc) ||
-				!reflect.DeepEqual(seq.History, par.History) ||
-				seq.Evaluations != par.Evaluations ||
-				seq.Rejections != par.Rejections ||
-				seq.CacheHits != par.CacheHits {
-				return false
-			}
+		cfg.Workers = 4
+		par, err := Run(cfg, v, procs, nil, sphereFitness(target))
+		if err != nil {
+			return false
 		}
-		return true
+		return seq.Best.Fitness == par.Best.Fitness &&
+			reflect.DeepEqual(seq.Best.Alloc, par.Best.Alloc) &&
+			reflect.DeepEqual(seq.History, par.History) &&
+			seq.Evaluations == par.Evaluations &&
+			seq.Rejections == par.Rejections &&
+			seq.CacheHits == par.CacheHits
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
