@@ -10,7 +10,11 @@ import (
 	"emts/internal/schedule"
 )
 
-func microSetup(b *testing.B, m int) (*Mapper, schedule.Allocation, float64) {
+// microClusters are the paper's two clusters: the map loop's per-placement
+// cost is measured against P = 20 (one bitset word) and P = 120 (two).
+var microClusters = []platform.Cluster{platform.Chti(), platform.Grelon()}
+
+func microSetup(b *testing.B, cl platform.Cluster, m int) (*Mapper, schedule.Allocation, float64) {
 	b.Helper()
 	g, err := daggen.Random(daggen.RandomConfig{
 		N: 100, Width: 0.5, Regularity: 0.5, Density: 0.5, Jump: 2,
@@ -18,7 +22,7 @@ func microSetup(b *testing.B, m int) (*Mapper, schedule.Allocation, float64) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	tab := model.MustTable(g, model.Synthetic{}, platform.Grelon())
+	tab := model.MustTable(g, model.Synthetic{}, cl)
 	mp, err := NewMapper(g, tab)
 	if err != nil {
 		b.Fatal(err)
@@ -37,20 +41,28 @@ func microSetup(b *testing.B, m int) (*Mapper, schedule.Allocation, float64) {
 }
 
 func BenchmarkMicroFullRejected(b *testing.B) {
-	mp, child, full := microSetup(b, 7)
-	opt := Options{RejectAbove: full * 0.5, DisablePrefilter: true}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mp.MakespanOpts(child, opt)
+	for _, cl := range microClusters {
+		b.Run(cl.Name, func(b *testing.B) {
+			mp, child, full := microSetup(b, cl, 7)
+			opt := Options{RejectAbove: full * 0.5, DisablePrefilter: true}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mp.MakespanOpts(child, opt)
+			}
+		})
 	}
 }
 
 func BenchmarkMicroFullAccepted(b *testing.B) {
-	mp, child, _ := microSetup(b, 7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mp.Makespan(child); err != nil {
-			b.Fatal(err)
-		}
+	for _, cl := range microClusters {
+		b.Run(cl.Name, func(b *testing.B) {
+			mp, child, _ := microSetup(b, cl, 7)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mp.Makespan(child); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
