@@ -2,6 +2,7 @@ package listsched
 
 import (
 	"fmt"
+	"math/bits"
 
 	"emts/internal/dag"
 	"emts/internal/model"
@@ -11,11 +12,14 @@ import (
 // mapState bundles the mutable scratch one map-loop execution consumes: the
 // bottom levels driving the ready-heap priority, the consumable indegree and
 // data-ready-time arrays, per-processor availability with its incrementally
-// maintained (availability, index) order, and the ready heap itself. The
-// scalar Mapper points one mapState at its arenas for the Mapper's lifetime;
-// the BatchMapper assembles a mapState per individual whose per-task slices
-// are rows of its structure-of-arrays planes (batch.go). Both feed the same
-// runMapLoop, so the scalar and batch paths cannot drift apart.
+// maintained (availability, index) order, the block of processors one
+// placement moves (scratch) with the bitset that sorts it by index (mark,
+// one bit per processor in ⌈P/64⌉ words, all zero between placements), and
+// the ready heap itself. The scalar Mapper points one mapState at its arenas
+// for the Mapper's lifetime; the BatchMapper assembles a mapState per
+// individual whose per-task slices are rows of its structure-of-arrays
+// planes (batch.go). Both feed the same runMapLoop, so the scalar and batch
+// paths cannot drift apart.
 type mapState struct {
 	bl        []float64
 	indeg     []int
@@ -23,7 +27,7 @@ type mapState struct {
 	avail     []float64
 	order     []int
 	scratch   []int
-	mark      []bool
+	mark      []uint64
 	ready     blHeap
 }
 
@@ -122,10 +126,8 @@ func (m *Mapper) bind(g *dag.Graph, tab *model.Table) error {
 	m.st.avail = grow(m.st.avail, m.procs)
 	m.st.order = grow(m.st.order, m.procs)
 	m.st.scratch = grow(m.st.scratch, m.procs)
-	m.st.mark = grow(m.st.mark, m.procs)
-	for i := range m.st.mark {
-		m.st.mark[i] = false
-	}
+	m.st.mark = grow(m.st.mark, (m.procs+63)/64)
+	clear(m.st.mark)
 	if cap(m.st.ready.items) < n {
 		//schedlint:allow hotescape -- amortized arena growth: reallocates only when the task count outgrows the retained capacity
 		m.st.ready.items = make([]dag.TaskID, 0, n)
@@ -198,6 +200,10 @@ func (m *Mapper) MapWithOptions(alloc schedule.Allocation, opt Options) (*schedu
 // set"), starting at the maximum of its data-ready time and the availability
 // of the last of those processors.
 //
+// The V·P term is the processor order's upkeep. Here a placement of s(v)
+// processors costs O(s(v) + P/64 + log P) plus one memmove over the
+// processors that become free before the task ends (runMapLoop).
+//
 // When entries is non-nil, one Entry per task is recorded there; otherwise
 // only the makespan is tracked (the fitness path).
 //
@@ -257,15 +263,15 @@ func runMapLoop(g *dag.Graph, tab *model.Table, procs int, alloc schedule.Alloca
 		avail[i] = 0
 	}
 	// order holds processor indices sorted by (availability, index); it is
-	// maintained incrementally: scheduling a task rewrites the first s
-	// entries with one shared availability time, so a single merge pass
-	// restores sortedness in O(P) instead of re-sorting.
+	// maintained incrementally: scheduling a task gives its first s entries
+	// one shared availability time, which moves them as one block to the
+	// position two binary searches find, instead of re-sorting.
 	order := st.order[:procs]
 	for i := range order {
 		order[i] = i
 	}
 	scratch := st.scratch[:procs]
-	mark := st.mark[:procs]
+	mark := st.mark[:(procs+63)/64]
 	recordProcs := entries != nil && !opt.SkipProcSets
 	arenaUsed := 0
 	placed := 0
@@ -298,65 +304,61 @@ func runMapLoop(g *dag.Graph, tab *model.Table, procs int, alloc schedule.Alloca
 		}
 		placed++
 
+		// Restore the (availability, index) order of order. The chosen
+		// processors all become available at end, so among themselves they
+		// order by index: set their bits, and the word scan reads them back
+		// ascending into block in O(s + P/64), clearing the bitset as it goes.
 		for _, p := range chosen {
 			avail[p] = end
-			mark[p] = true
+			mark[p>>6] |= 1 << (p & 63)
 		}
-		// The chosen processors, in ascending index order, fall out of the
-		// mark-bitmap scan below for free; carve the entry's Procs from the
-		// arena and fill it as the scan visits them — no sort, no per-task
-		// allocation.
-		var procsOut []int
-		if recordProcs {
-			procsOut = procArena[arenaUsed : arenaUsed+s : arenaUsed+s]
-			arenaUsed += s
+		block := scratch[:0]
+		for w, word := range mark {
+			mark[w] = 0
+			for ; word != 0; word &= word - 1 {
+				block = append(block, w<<6|bits.TrailingZeros64(word))
+			}
 		}
-		emitted := 0
-		// Restore order: the updated processors all share avail == end, so
-		// among themselves they order by index — which the mark bitmap
-		// yields directly with an ascending scan, no sort — and one merge
-		// pass with the untouched, still-sorted tail restores the invariant
-		// in O(P).
-		merged := scratch[:0]
+		// The untouched rest stays sorted. Two binary searches bracket its
+		// run tied at end: rest[:lo] is available before end, rest[lo:hi]
+		// exactly at end, rest[hi:] after it.
 		rest := order[s:]
-		j, p, remaining := 0, 0, s
-		for remaining > 0 && j < len(rest) {
-			for !mark[p] {
-				p++
-			}
-			r := rest[j]
-			//schedlint:allow floateq -- exact tie-break: equal availability resolves by processor index, which is what makes "the first processor set" deterministic
-			if avail[p] < avail[r] || (avail[p] == avail[r] && p < r) {
-				merged = append(merged, p)
-				mark[p] = false
-				if recordProcs {
-					procsOut[emitted] = p
-					emitted++
-				}
-				p++
-				remaining--
+		lo, hi := 0, len(rest)
+		for lo < hi {
+			if mid := int(uint(lo+hi) >> 1); avail[rest[mid]] < end {
+				lo = mid + 1
 			} else {
-				merged = append(merged, r)
-				j++
+				hi = mid
 			}
 		}
-		for remaining > 0 {
-			for !mark[p] {
-				p++
+		hi = len(rest)
+		for i := lo; i < hi; {
+			if mid := int(uint(i+hi) >> 1); avail[rest[mid]] <= end {
+				i = mid + 1
+			} else {
+				hi = mid
 			}
-			merged = append(merged, p)
-			mark[p] = false
-			if recordProcs {
-				procsOut[emitted] = p
-				emitted++
-			}
-			p++
-			remaining--
 		}
-		merged = append(merged, rest[j:]...)
-		copy(order, merged)
+		// Slide the earlier processors to the front in one memmove, which
+		// frees the s slots before the tied run; merge block with that run
+		// by index, front to back and in place. Whatever the merge leaves
+		// of the tied run, and the tail rest[hi:], is already in place.
+		copy(order, rest[:lo])
+		k, t, b := lo, s+lo, 0
+		for ; b < s && t < s+hi; k++ {
+			if order[t] < block[b] {
+				order[k] = order[t]
+				t++
+			} else {
+				order[k] = block[b]
+				b++
+			}
+		}
+		copy(order[k:], block[b:])
 		if recordProcs {
-			entries[v].Procs = procsOut
+			entries[v].Procs = procArena[arenaUsed : arenaUsed+s : arenaUsed+s]
+			copy(entries[v].Procs, block)
+			arenaUsed += s
 		}
 
 		for _, w := range g.Successors(v) {
