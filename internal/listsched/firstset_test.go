@@ -74,7 +74,7 @@ func firstProcessorSetReference(g *dag.Graph, tab *model.Table, alloc schedule.A
 // rng. With fft set, the graph is an FFT PTG whose tasks all cost the same
 // and whose allocation draws from two values, so many tasks finish at the
 // same instant and the processor order sees runs of tied availability; other
-// instances are random DAGs with random costs and allocations.
+// instances are randomGraph DAGs with random allocations.
 func firstSetInstance(rng *rand.Rand, procs int, fft bool) (*dag.Graph, *model.Table, schedule.Allocation) {
 	cluster := platform.Cluster{Name: "fuzz", Procs: procs, SpeedGFlops: 1}
 	var g *dag.Graph
@@ -92,20 +92,7 @@ func firstSetInstance(rng *rand.Rand, procs int, fft bool) (*dag.Graph, *model.T
 		}
 		g = b.MustBuild()
 	} else {
-		n := 2 + rng.Intn(40)
-		b := dag.NewBuilder("fuzz")
-		for range n {
-			b.AddTask(dag.Task{Flops: 1e8 + rng.Float64()*5e9, Alpha: rng.Float64() / 4})
-		}
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				if rng.Float64() < 0.2 {
-					b.AddEdge(dag.TaskID(i), dag.TaskID(j))
-				}
-			}
-		}
-		g = b.MustBuild()
-		cluster.SpeedGFlops += rng.Float64() * 4
+		g = randomGraph(rng)
 	}
 	tab := model.MustTable(g, model.Synthetic{}, cluster)
 	alloc := make(schedule.Allocation, g.NumTasks())

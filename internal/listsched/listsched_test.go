@@ -227,6 +227,22 @@ func TestRejectionNeverFiresAboveTrueMakespan(t *testing.T) {
 
 // randomInstance builds a random layered PTG, allocation, and table.
 func randomInstance(rng *rand.Rand) (*dag.Graph, schedule.Allocation, *model.Table) {
+	g := randomGraph(rng)
+	cluster := platform.Cluster{Name: "p", Procs: 2 + rng.Intn(15), SpeedGFlops: 1 + rng.Float64()*4}
+	var m model.Model = model.Amdahl{}
+	if rng.Intn(2) == 0 {
+		m = model.Synthetic{}
+	}
+	tab := model.MustTable(g, m, cluster)
+	alloc := make(schedule.Allocation, g.NumTasks())
+	for i := range alloc {
+		alloc[i] = 1 + rng.Intn(cluster.Procs)
+	}
+	return g, alloc, tab
+}
+
+// randomGraph builds a random layered PTG with random task costs.
+func randomGraph(rng *rand.Rand) *dag.Graph {
 	b := dag.NewBuilder("prop")
 	n := 2 + rng.Intn(25)
 	for i := 0; i < n; i++ {
@@ -239,18 +255,7 @@ func randomInstance(rng *rand.Rand) (*dag.Graph, schedule.Allocation, *model.Tab
 			}
 		}
 	}
-	g := b.MustBuild()
-	cluster := platform.Cluster{Name: "p", Procs: 2 + rng.Intn(15), SpeedGFlops: 1 + rng.Float64()*4}
-	var m model.Model = model.Amdahl{}
-	if rng.Intn(2) == 0 {
-		m = model.Synthetic{}
-	}
-	tab := model.MustTable(g, m, cluster)
-	alloc := make(schedule.Allocation, n)
-	for i := range alloc {
-		alloc[i] = 1 + rng.Intn(cluster.Procs)
-	}
-	return g, alloc, tab
+	return b.MustBuild()
 }
 
 // TestMapPropertyProducesValidSchedules is the central safety net: for random
