@@ -70,8 +70,8 @@ func fingerprintOf(res *core.Result) runFingerprint {
 // goldenGraphs returns the pinned instances, keyed as in goldenFingerprints:
 // the 100-task irregular daggen graph of the instance benchmarks, a 300-task
 // graph of the same class, and FFT-16. All run on Grelon (P = 120); the
-// 100-task graph also runs on Chti (P = 20), so both a single-word and a
-// multi-word processor bitset are pinned.
+// 100-task graph also runs on Chti (P = 20), so the processor sets of both
+// paper clusters are pinned.
 func goldenGraphs(t *testing.T) ([]string, []*dag.Graph) {
 	t.Helper()
 	var gs []*dag.Graph

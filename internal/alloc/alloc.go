@@ -74,8 +74,11 @@ func (r Random) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, e
 
 // cpaCore runs the CPA allocation loop. growable reports whether a task's
 // allocation may be incremented given the current allocation state; it is the
-// hook through which MCPA adds its level bound. onGrow is called after each
-// increment so bound bookkeeping can be updated.
+// hook through which MCPA adds its level bound. onGrow is called for each
+// increment, before it is applied, so bound bookkeeping can be updated; it
+// returns a donor task that gives one processor back in exchange (MCPA2), or
+// -1. cpaCore applies both changes itself so the running area stays the sum
+// over the allocation actually held.
 //
 // The loop follows Rădulescu & van Gemund: starting from one processor per
 // task, while the critical-path length T_CP exceeds the average area
@@ -84,7 +87,7 @@ func (r Random) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, e
 // grown when that reduction is strictly positive — under non-monotonic models
 // (Model 2) this makes the procedure stall early with small allocations,
 // exactly the behaviour the paper reports in Section V-B.
-func cpaCore(g *dag.Graph, tab *model.Table, growable func(v dag.TaskID, s schedule.Allocation) bool, onGrow func(v dag.TaskID)) schedule.Allocation {
+func cpaCore(g *dag.Graph, tab *model.Table, growable func(v dag.TaskID, s schedule.Allocation) bool, onGrow func(v dag.TaskID, s schedule.Allocation) dag.TaskID) schedule.Allocation {
 	procs := tab.Procs()
 	s := schedule.Ones(g.NumTasks())
 	cost := listsched.Cost(tab, s)
@@ -151,11 +154,17 @@ func cpaCore(g *dag.Graph, tab *model.Table, growable func(v dag.TaskID, s sched
 		if best == -1 {
 			break // no critical-path task can beneficially grow
 		}
+		d := dag.TaskID(-1)
+		if onGrow != nil {
+			d = onGrow(best, s)
+		}
 		area -= float64(s[best]) * tab.Time(best, s[best])
 		s[best]++
 		area += float64(s[best]) * tab.Time(best, s[best])
-		if onGrow != nil {
-			onGrow(best)
+		if d != -1 {
+			area -= float64(s[d]) * tab.Time(d, s[d])
+			s[d]--
+			area += float64(s[d]) * tab.Time(d, s[d])
 		}
 	}
 	return s
@@ -246,7 +255,10 @@ func (MCPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, error
 	growable := func(v dag.TaskID, s schedule.Allocation) bool {
 		return levelSum[level[v]] < procs
 	}
-	onGrow := func(v dag.TaskID) { levelSum[level[v]]++ }
+	onGrow := func(v dag.TaskID, _ schedule.Allocation) dag.TaskID {
+		levelSum[level[v]]++
+		return -1
+	}
 	return cpaCore(g, tab, growable, onGrow), nil
 }
 
@@ -255,6 +267,13 @@ func (MCPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, error
 // one processor from the least-critical task of the same level that holds
 // more than one (instead of refusing to grow, as MCPA does). Levels whose
 // width exceeds P behave exactly like MCPA.
+//
+// An exchange must make the growing task faster, and the donor must still
+// run shorter than the growing task did before. Without that rule two tasks
+// of a full level can trade one processor back and forth until the
+// iteration cap. With it, each exchange replaces two execution times of the
+// level by two shorter than one of them, which decreases the level's
+// multiset of times in the multiset order, so the trading stops.
 type MCPA2 struct{}
 
 // Name implements Allocator.
@@ -271,9 +290,7 @@ func (MCPA2) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, erro
 	for l, tasks := range byLevel {
 		levelSum[l] = len(tasks)
 	}
-	var alloc schedule.Allocation // captured for the reclaim step
 	growable := func(v dag.TaskID, s schedule.Allocation) bool {
-		alloc = s
 		if levelSum[level[v]] < procs {
 			return true
 		}
@@ -281,31 +298,34 @@ func (MCPA2) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, erro
 		// the level can donate a processor.
 		return donor(g, tab, s, byLevel[level[v]], v) != -1
 	}
-	onGrow := func(v dag.TaskID) {
+	onGrow := func(v dag.TaskID, s schedule.Allocation) dag.TaskID {
 		if levelSum[level[v]] < procs {
 			levelSum[level[v]]++
-			return
+			return -1
 		}
-		d := donor(g, tab, alloc, byLevel[level[v]], v)
-		if d != -1 {
-			alloc[d]-- // levelSum unchanged: one in, one out
-		} else {
-			levelSum[level[v]]++ // defensive; growable should have prevented this
-		}
+		// levelSum unchanged: one in, one out. growable guarantees a donor.
+		return donor(g, tab, s, byLevel[level[v]], v)
 	}
 	return cpaCore(g, tab, growable, onGrow), nil
 }
 
 // donor picks the task in tasks (excluding grown) with the smallest bottom
-// level among those holding more than one processor, or -1. Bottom levels are
-// approximated by the tasks' current execution times plus successors, which
-// cpaCore recomputes each iteration anyway; using the cheaper current
-// execution time T(v, s(v)) as the criticality proxy keeps this O(width).
+// level among those holding more than one processor whose execution time
+// with one processor less stays below grown's current one, or -1; it is -1
+// too when one more processor would not make grown faster. Bottom
+// levels are approximated by the tasks' current execution times plus
+// successors, which cpaCore recomputes each iteration anyway; using the
+// cheaper current execution time T(v, s(v)) as the criticality proxy keeps
+// this O(width).
 func donor(g *dag.Graph, tab *model.Table, s schedule.Allocation, tasks []dag.TaskID, grown dag.TaskID) dag.TaskID {
 	best := dag.TaskID(-1)
 	bestTime := 0.0
+	limit := tab.Time(grown, s[grown])
+	if tab.Time(grown, s[grown]+1) >= limit {
+		return -1
+	}
 	for _, u := range tasks {
-		if u == grown || s[u] <= 1 {
+		if u == grown || s[u] <= 1 || tab.Time(u, s[u]-1) >= limit {
 			continue
 		}
 		t := tab.Time(u, s[u])

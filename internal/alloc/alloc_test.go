@@ -2,6 +2,7 @@ package alloc
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -231,6 +232,83 @@ func TestMCPA2RespectsLevelBound(t *testing.T) {
 		if sum > testCluster.Procs {
 			t.Fatalf("level %d allocates %d > P=%d procs", l, sum, testCluster.Procs)
 		}
+	}
+}
+
+// MCPA2 trades processors within a full level: the critical task grows and
+// a donor of the same level shrinks. The loop must then stop on the area of
+// the allocation actually held, so its final allocation satisfies the CPA
+// stopping rule recomputed from scratch: T_CP <= T_A, or no critical-path
+// task can grow. Instances run on a few processors so levels fill up, under
+// the monotone Amdahl model and the non-monotone synthetic one; an
+// instance takes a donor iff MCPA2's allocation differs from MCPA's, and
+// enough of them must do so for the check to mean something.
+func TestMCPA2StopsOnHeldArea(t *testing.T) {
+	donated := 0
+	for seed := int64(1); seed <= 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		b := dag.NewBuilder("layers")
+		var prev []dag.TaskID
+		for range 2 + rng.Intn(5) {
+			var cur []dag.TaskID
+			for range 2 + rng.Intn(3) {
+				v := b.AddTask(dag.Task{Flops: 1e9 + rng.Float64()*2e10, Alpha: rng.Float64() / 5})
+				for _, u := range prev {
+					if rng.Intn(2) == 0 {
+						b.AddEdge(u, v)
+					}
+				}
+				cur = append(cur, v)
+			}
+			prev = cur
+		}
+		g := b.MustBuild()
+		procs := 3 + rng.Intn(6)
+		var m model.Model = model.Amdahl{}
+		if seed%2 == 0 {
+			m = model.Synthetic{}
+		}
+		tab := model.MustTable(g, m, platform.Cluster{Name: "small", Procs: procs, SpeedGFlops: 1})
+		a, err := MCPA2{}.Allocate(g, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := MCPA{}.Allocate(g, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Equal(a, plain) {
+			continue
+		}
+		donated++
+
+		path, tcp := g.CriticalPath(listsched.Cost(tab, a))
+		area := 0.0
+		for v, sv := range a {
+			area += float64(sv) * tab.Time(dag.TaskID(v), sv)
+		}
+		ta := area / float64(procs)
+		if tcp <= ta*(1+1e-9) {
+			continue
+		}
+		level, byLevel := g.PrecedenceLevels()
+		for _, v := range path {
+			sv := a[v]
+			if sv >= procs || tab.Time(v, sv)/float64(sv) <= tab.Time(v, sv+1)/float64(sv+1) {
+				continue
+			}
+			levelSum := 0
+			for _, u := range byLevel[level[v]] {
+				levelSum += a[u]
+			}
+			if levelSum < procs || donor(g, tab, a, byLevel[level[v]], v) != -1 {
+				t.Fatalf("seed %d: MCPA2 stopped with T_CP=%g > T_A=%g while critical task %d can grow: %v",
+					seed, tcp, ta, v, a)
+			}
+		}
+	}
+	if donated < 20 {
+		t.Fatalf("only %d of 200 instances took a donor", donated)
 	}
 }
 

@@ -134,11 +134,7 @@ func (b *BatchMapper) bind(g *dag.Graph, tab *model.Table) error {
 	b.topoOrder = order
 	b.st.indeg = grow(b.st.indeg, n)
 	b.st.readyTime = grow(b.st.readyTime, n)
-	b.st.avail = grow(b.st.avail, b.procs)
-	b.st.order = grow(b.st.order, b.procs)
-	b.st.scratch = grow(b.st.scratch, b.procs)
-	b.st.mark = grow(b.st.mark, (b.procs+63)/64)
-	clear(b.st.mark)
+	b.st.free = grow(b.st.free, b.procs)
 	if cap(b.st.ready.items) < n {
 		//schedlint:allow hotescape -- amortized arena growth: reallocates only when the task count outgrows the retained capacity
 		b.st.ready.items = make([]dag.TaskID, 0, n)

@@ -109,10 +109,11 @@ func firstSetInstance(rng *rand.Rand, procs int, fft bool) (*dag.Graph, *model.T
 
 // FuzzFirstProcessorSet checks the map loop against the naive reference of
 // "the first processor set": every entry's Start/End bits and processor set
-// must match, Makespan must return the reference makespan, and under a bound
-// MakespanBounded must agree with the materializing Map on both the value and
-// the rejection decision. The seeds cover processor counts on both sides of
-// each 64-bit word boundary of the processor bitset.
+// must match, Makespan and a BatchMapper row must return the reference
+// makespan, and under a bound MakespanBounded, the materializing Map and a
+// bounded BatchMapper row must all agree on both the value and the rejection
+// decision. The seeds cover small processor counts, the paper's P = 120 and
+// counts around powers of two.
 func FuzzFirstProcessorSet(f *testing.F) {
 	for _, p := range []int{1, 2, 63, 64, 65, 120, 128, 129} {
 		f.Add(int64(p), p, false, 0.9)
@@ -150,20 +151,34 @@ func FuzzFirstProcessorSet(f *testing.F) {
 			t.Fatalf("Makespan = %g, %v; reference %g", got, err, wantMakespan)
 		}
 
+		bm, err := NewBatchMapper(g, tab)
+		if err != nil {
+			t.Fatal(err)
+		}
+		items := []BatchItem{{Alloc: alloc}}
+		batchFit, batchErrs := make([]float64, 1), make([]error, 1)
+		bm.EvalBatch(items, Options{}, batchFit, batchErrs)
+		if batchErrs[0] != nil || math.Float64bits(batchFit[0]) != math.Float64bits(wantMakespan) {
+			t.Fatalf("EvalBatch = %g, %v; reference %g", batchFit[0], batchErrs[0], wantMakespan)
+		}
+
 		bound := wantMakespan * scale
 		bounded, boundedErr := m.MakespanBounded(alloc, bound)
 		mapped, mappedErr := m.MapWithOptions(alloc, Options{RejectAbove: bound})
+		bm.EvalBatch(items, Options{RejectAbove: bound}, batchFit, batchErrs)
 		rejected := errors.Is(boundedErr, ErrRejected)
 		switch {
-		case rejected != errors.Is(mappedErr, ErrRejected):
-			t.Fatalf("bound %g: MakespanBounded err %v, Map err %v", bound, boundedErr, mappedErr)
+		case rejected != errors.Is(mappedErr, ErrRejected) || rejected != errors.Is(batchErrs[0], ErrRejected):
+			t.Fatalf("bound %g: MakespanBounded err %v, Map err %v, EvalBatch err %v",
+				bound, boundedErr, mappedErr, batchErrs[0])
 		case wantMakespan > bound && !rejected:
 			t.Fatalf("bound %g below reference makespan %g was not rejected", bound, wantMakespan)
-		case !rejected && (boundedErr != nil || mappedErr != nil ||
+		case !rejected && (boundedErr != nil || mappedErr != nil || batchErrs[0] != nil ||
 			math.Float64bits(bounded) != math.Float64bits(wantMakespan) ||
-			math.Float64bits(mapped.Makespan()) != math.Float64bits(wantMakespan)):
-			t.Fatalf("bound %g: MakespanBounded %g (%v), Map %v (%v), reference %g",
-				bound, bounded, boundedErr, mapped, mappedErr, wantMakespan)
+			math.Float64bits(mapped.Makespan()) != math.Float64bits(wantMakespan) ||
+			math.Float64bits(batchFit[0]) != math.Float64bits(wantMakespan)):
+			t.Fatalf("bound %g: MakespanBounded %g (%v), Map %v (%v), EvalBatch %g (%v), reference %g",
+				bound, bounded, boundedErr, mapped, mappedErr, batchFit[0], batchErrs[0], wantMakespan)
 		}
 	})
 }

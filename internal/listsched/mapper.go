@@ -2,7 +2,6 @@ package listsched
 
 import (
 	"fmt"
-	"math/bits"
 
 	"emts/internal/dag"
 	"emts/internal/model"
@@ -11,23 +10,22 @@ import (
 
 // mapState bundles the mutable scratch one map-loop execution consumes: the
 // bottom levels driving the ready-heap priority, the consumable indegree and
-// data-ready-time arrays, per-processor availability with its incrementally
-// maintained (availability, index) order, the block of processors one
-// placement moves (scratch) with the bitset that sorts it by index (mark,
-// one bit per processor in ⌈P/64⌉ words, all zero between placements), and
-// the ready heap itself. The scalar Mapper points one mapState at its arenas
-// for the Mapper's lifetime; the BatchMapper assembles a mapState per
-// individual whose per-task slices are rows of its structure-of-arrays
-// planes (batch.go). Both feed the same runMapLoop, so the scalar and batch
-// paths cannot drift apart.
+// data-ready-time arrays, the processors' availability times as a sorted
+// multiset (free), the per-processor availability (avail) that only the
+// processor-set recording path reads, and the ready heap itself. A placement
+// costs O(log P + s + lo) on free, where lo counts the processors that become
+// free before the task ends; recording its processor set adds one O(P) scan of
+// avail. The scalar Mapper points one mapState at its arenas for the Mapper's
+// lifetime; the BatchMapper, which never records processor sets, assembles a
+// mapState per individual whose per-task slices are rows of its
+// structure-of-arrays planes (batch.go). Both feed the same runMapLoop, so the
+// scalar and batch paths cannot drift apart.
 type mapState struct {
 	bl        []float64
 	indeg     []int
 	readyTime []float64
+	free      []float64
 	avail     []float64
-	order     []int
-	scratch   []int
-	mark      []uint64
 	ready     blHeap
 }
 
@@ -123,11 +121,8 @@ func (m *Mapper) bind(g *dag.Graph, tab *model.Table) error {
 	m.st.bl = grow(m.st.bl, n)
 	m.st.indeg = grow(m.st.indeg, n)
 	m.st.readyTime = grow(m.st.readyTime, n)
+	m.st.free = grow(m.st.free, m.procs)
 	m.st.avail = grow(m.st.avail, m.procs)
-	m.st.order = grow(m.st.order, m.procs)
-	m.st.scratch = grow(m.st.scratch, m.procs)
-	m.st.mark = grow(m.st.mark, (m.procs+63)/64)
-	clear(m.st.mark)
 	if cap(m.st.ready.items) < n {
 		//schedlint:allow hotescape -- amortized arena growth: reallocates only when the task count outgrows the retained capacity
 		m.st.ready.items = make([]dag.TaskID, 0, n)
@@ -200,9 +195,10 @@ func (m *Mapper) MapWithOptions(alloc schedule.Allocation, opt Options) (*schedu
 // set"), starting at the maximum of its data-ready time and the availability
 // of the last of those processors.
 //
-// The V·P term is the processor order's upkeep. Here a placement of s(v)
-// processors costs O(s(v) + P/64 + log P) plus one memmove over the
-// processors that become free before the task ends (runMapLoop).
+// The V·P term is the processor-set choice. On the fitness path a placement
+// of s(v) processors costs O(log P + s(v)) plus one memmove over the
+// availability times that fall before the task ends; recording the processor
+// set adds one O(P) scan (runMapLoop).
 //
 // When entries is non-nil, one Entry per task is recorded there; otherwise
 // only the makespan is tracked (the fitness path).
@@ -233,6 +229,10 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 // alloc.TotalProcs() entries; each task's Procs is carved from it, so a full
 // Map costs one arena allocation instead of one per task.
 //
+// Without processor sets a placement costs O(log P + s(v)) plus one memmove
+// over the free times that fall before the task ends; recording its
+// processor set adds one O(P) scan in processor order.
+//
 //schedlint:hotpath
 func runMapLoop(g *dag.Graph, tab *model.Table, procs int, alloc schedule.Allocation,
 	st *mapState, opt Options, entries []schedule.Entry, procArena []int) (float64, error) {
@@ -258,21 +258,23 @@ func runMapLoop(g *dag.Graph, tab *model.Table, procs int, alloc schedule.Alloca
 		}
 	}
 
-	avail := st.avail[:procs]
-	for i := range avail {
-		avail[i] = 0
-	}
-	// order holds processor indices sorted by (availability, index); it is
-	// maintained incrementally: scheduling a task gives its first s entries
-	// one shared availability time, which moves them as one block to the
-	// position two binary searches find, instead of re-sorting.
-	order := st.order[:procs]
-	for i := range order {
-		order[i] = i
-	}
-	scratch := st.scratch[:procs]
-	mark := st.mark[:(procs+63)/64]
+	// free holds the P availability times sorted ascending. A makespan
+	// depends only on this multiset, not on which processor holds which time:
+	// a task starts at the later of its data-ready time and the s-th earliest
+	// free time, and its s processors all become free at its end. The first
+	// s entries of the (availability, index) order of processors hold exactly
+	// the s smallest values, so every start and end is the same float
+	// operation on the same operands as if the processors were tracked.
+	free := st.free[:procs]
+	clear(free)
+	// avail tracks processors by index, needed only to name the processor
+	// set of each task.
 	recordProcs := entries != nil && !opt.SkipProcSets
+	var avail []float64
+	if recordProcs {
+		avail = st.avail[:procs]
+		clear(avail)
+	}
 	arenaUsed := 0
 	placed := 0
 	makespan := 0.0
@@ -281,14 +283,9 @@ func runMapLoop(g *dag.Graph, tab *model.Table, procs int, alloc schedule.Alloca
 		v := ready.pop()
 		s := alloc[v]
 
-		// The s processors that become available earliest are the first s
-		// entries of order; among equal availability times the
-		// lowest-numbered processors win, which makes the mapping fully
-		// deterministic ("the first processor set").
-		chosen := order[:s]
-
+		a := free[s-1]
 		start := readyTime[v]
-		if a := avail[chosen[s-1]]; a > start {
+		if a > start {
 			start = a
 		}
 		if opt.RejectAbove > 0 && start+bl[v] > opt.RejectAbove {
@@ -304,61 +301,36 @@ func runMapLoop(g *dag.Graph, tab *model.Table, procs int, alloc schedule.Alloca
 		}
 		placed++
 
-		// Restore the (availability, index) order of order. The chosen
-		// processors all become available at end, so among themselves they
-		// order by index: set their bits, and the word scan reads them back
-		// ascending into block in O(s + P/64), clearing the bitset as it goes.
-		for _, p := range chosen {
-			avail[p] = end
-			mark[p>>6] |= 1 << (p & 63)
-		}
-		block := scratch[:0]
-		for w, word := range mark {
-			mark[w] = 0
-			for ; word != 0; word &= word - 1 {
-				block = append(block, w<<6|bits.TrailingZeros64(word))
-			}
-		}
-		// The untouched rest stays sorted. Two binary searches bracket its
-		// run tied at end: rest[:lo] is available before end, rest[lo:hi]
-		// exactly at end, rest[hi:] after it.
-		rest := order[s:]
-		lo, hi := 0, len(rest)
-		for lo < hi {
-			if mid := int(uint(lo+hi) >> 1); avail[rest[mid]] < end {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		hi = len(rest)
-		for i := lo; i < hi; {
-			if mid := int(uint(i+hi) >> 1); avail[rest[mid]] <= end {
-				i = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		// Slide the earlier processors to the front in one memmove, which
-		// frees the s slots before the tied run; merge block with that run
-		// by index, front to back and in place. Whatever the merge leaves
-		// of the tied run, and the tail rest[hi:], is already in place.
-		copy(order, rest[:lo])
-		k, t, b := lo, s+lo, 0
-		for ; b < s && t < s+hi; k++ {
-			if order[t] < block[b] {
-				order[k] = order[t]
-				t++
-			} else {
-				order[k] = block[b]
-				b++
-			}
-		}
-		copy(order[k:], block[b:])
 		if recordProcs {
-			entries[v].Procs = procArena[arenaUsed : arenaUsed+s : arenaUsed+s]
-			copy(entries[v].Procs, block)
+			// "The first processor set": every processor free before a, then
+			// the lowest-numbered of those free exactly at a, as many as
+			// free[:s] holds. One scan in index order yields it sorted.
+			ties := s - searchFree(free[:s], a)
+			set := procArena[arenaUsed : arenaUsed : arenaUsed+s]
+			for p, t := range avail {
+				switch {
+				case t < a:
+				case t <= a && ties > 0:
+					ties--
+				default:
+					continue
+				}
+				avail[p] = end
+				if set = append(set, p); len(set) == s {
+					break
+				}
+			}
+			entries[v].Procs = set
 			arenaUsed += s
+		}
+
+		// Replace the s smallest times with s copies of end: the times in
+		// free[s:] below end slide to the front in one memmove, and the
+		// copies of end fill the gap before the rest, which stays in place.
+		lo := searchFree(free[s:], end)
+		copy(free, free[s:s+lo])
+		for i := lo; i < lo+s; i++ {
+			free[i] = end
 		}
 
 		for _, w := range g.Successors(v) {
@@ -376,6 +348,25 @@ func runMapLoop(g *dag.Graph, tab *model.Table, procs int, alloc schedule.Alloca
 		return 0, errIncomplete
 	}
 	return makespan, nil
+}
+
+// searchFree returns the index of the first time in the ascending slice free
+// that is not below t (len(free) if none). Hand-rolled rather than
+// slices.BinarySearch, whose NaN-aware float compare costs the fitness path
+// measurably; availability times are sums of table times, which
+// model.NewTable checks are positive and finite, so they are never NaN.
+//
+//schedlint:hotpath
+func searchFree(free []float64, t float64) int {
+	lo, hi := 0, len(free)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); free[mid] < t {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // areaSlack is the relative tolerance applied to the area lower bound. The

@@ -11,7 +11,9 @@ import (
 )
 
 // microClusters are the paper's two clusters: the map loop's per-placement
-// cost is measured against P = 20 (one bitset word) and P = 120 (two).
+// cost is measured against P = 20 and P = 120. The fitness path grows with
+// the number of availability times each placement moves; the processor-set
+// recording of Map adds an O(P) scan per placement.
 var microClusters = []platform.Cluster{platform.Chti(), platform.Grelon()}
 
 func microSetup(b *testing.B, cl platform.Cluster, m int) (*Mapper, schedule.Allocation, float64) {
@@ -60,6 +62,20 @@ func BenchmarkMicroFullAccepted(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := mp.Makespan(child); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkMicroMapProcSets(b *testing.B) {
+	for _, cl := range microClusters {
+		b.Run(cl.Name, func(b *testing.B) {
+			mp, child, _ := microSetup(b, cl, 7)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := mp.Map(child); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -586,8 +586,14 @@ func TestJobConcurrentSubscribers(t *testing.T) {
 			t.Fatalf("subscriber %d read a different stream:\n%q\nvs\n%q", i, streams[i], streams[0])
 		}
 	}
-	if s.metrics.sseSubscribers.Load() != 0 {
-		t.Fatalf("sse subscriber gauge = %d after streams closed", s.metrics.sseSubscribers.Load())
+	// A handler decrements the gauge in a deferred call that can still be
+	// pending after its client has read the final frame, so poll for it.
+	deadline := time.Now().Add(5 * time.Second)
+	for n := s.metrics.sseSubscribers.Load(); n != 0; n = s.metrics.sseSubscribers.Load() {
+		if time.Now().After(deadline) {
+			t.Fatalf("sse subscriber gauge = %d 5s after streams closed", n)
+		}
+		time.Sleep(2 * time.Millisecond)
 	}
 }
 
