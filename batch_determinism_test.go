@@ -1,5 +1,5 @@
-// Switch-lattice determinism meta-test for the structure-of-arrays batch
-// evaluation path (PR 6). Every perf layer carries a Disable switch and must
+// Switch-lattice determinism meta-test for the batch evaluation path
+// (PR 6). Every perf layer carries a Disable switch and must
 // be bit-identical to every other combination; this test walks the full
 // batch×prefilter×cache lattice so no pairwise interaction can drift.
 //

@@ -469,28 +469,42 @@ func BenchmarkFullMap(b *testing.B) {
 	}
 }
 
-// BenchmarkCPAAllocation measures the CPA allocation procedure
-// (O(V(V+E)P), Section III-E).
-func BenchmarkCPAAllocation(b *testing.B) {
-	g, tab, _ := benchInstance(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (alloc.CPA{}).Allocate(g, tab); err != nil {
+// seedBench runs the allocator a on the paper's irregular PTGs (jump 2) of
+// 100 and 300 tasks under Model 2, on Chti (P = 20) and Grelon (P = 120): the
+// seed loop's cost on both platforms, next to the map-loop micro benchmarks
+// of internal/listsched.
+func seedBench(b *testing.B, a alloc.Allocator) {
+	for _, n := range []int{100, 300} {
+		g, err := daggen.Random(daggen.RandomConfig{
+			N: n, Width: 0.5, Regularity: 0.5, Density: 0.5, Jump: 2,
+		}, daggen.DefaultCosts(), 7)
+		if err != nil {
 			b.Fatal(err)
+		}
+		for _, cl := range platform.Both() {
+			b.Run(fmt.Sprintf("%s/irregular-%d", cl.Name, n), func(b *testing.B) {
+				tab, err := model.NewTable(g, model.Synthetic{}, cl)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := a.Allocate(g, tab); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }
 
+// BenchmarkCPAAllocation measures the CPA allocation procedure. Section
+// III-E quotes O(V(V+E)P); with incremental bottom levels an iteration costs
+// the critical-path walk plus the ancestors whose bottom level changes.
+func BenchmarkCPAAllocation(b *testing.B) { seedBench(b, alloc.CPA{}) }
+
 // BenchmarkMCPAAllocation measures MCPA (CPA plus the level bound).
-func BenchmarkMCPAAllocation(b *testing.B) {
-	g, tab, _ := benchInstance(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (alloc.MCPA{}).Allocate(g, tab); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkMCPAAllocation(b *testing.B) { seedBench(b, alloc.MCPA{}) }
 
 // BenchmarkTimeTableBuild measures building the V x P execution-time table.
 func BenchmarkTimeTableBuild(b *testing.B) {
@@ -558,8 +572,8 @@ func BenchmarkEMTS5InstanceNoFastPath(b *testing.B) {
 }
 
 // BenchmarkEMTS5InstanceNoBatch is the A/B control for DESIGN.md §13: the
-// headline workload with the structure-of-arrays batch path switched off,
-// falling back to per-individual scalar dispatch.
+// headline workload with the batch path switched off, falling back to
+// per-individual scalar dispatch.
 func BenchmarkEMTS5InstanceNoBatch(b *testing.B) {
 	emtsInstanceBench(b, func(seed int64) core.Params {
 		p := core.EMTS5(seed)

@@ -12,8 +12,8 @@
 // (BenchmarkPerIndividual: λ ∈ {25, 100, 400}, batch vs scalar dispatch) and
 // distills the ns/individual metrics into a "curve" section — one point per
 // λ with both dispatch costs and their ratio — so the flattening effect of
-// the structure-of-arrays batch path (ROADMAP item 5) is directly visible in
-// the committed artifact.
+// the batch path (ROADMAP item 5) is directly visible in the committed
+// artifact.
 //
 // With -islands it additionally runs the island-count scaling benchmark
 // (BenchmarkEMTSIslands) and distills the ns/generation metrics into an

@@ -22,6 +22,7 @@ package alloc
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 
 	"emts/internal/dag"
@@ -87,10 +88,15 @@ func (r Random) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, e
 // grown when that reduction is strictly positive — under non-monotonic models
 // (Model 2) this makes the procedure stall early with small allocations,
 // exactly the behaviour the paper reports in Section V-B.
+//
+// Section III-E's O(V(V+E)P) bound recomputes every bottom level after each
+// increment. An increment changes the execution time of one task (two with a
+// donor), so only their ancestors can change; the bottom levels are kept by
+// a blTracker, which recomputes just the tasks whose value actually changes.
+// An iteration then costs the critical-path walk plus those ancestors' edges.
 func cpaCore(g *dag.Graph, tab *model.Table, growable func(v dag.TaskID, s schedule.Allocation) bool, onGrow func(v dag.TaskID, s schedule.Allocation) dag.TaskID) schedule.Allocation {
 	procs := tab.Procs()
 	s := schedule.Ones(g.NumTasks())
-	cost := listsched.Cost(tab, s)
 
 	// area = Σ s(v)·T(v, s(v)) is maintained incrementally.
 	area := 0.0
@@ -98,20 +104,20 @@ func cpaCore(g *dag.Graph, tab *model.Table, growable func(v dag.TaskID, s sched
 		area += tab.Time(dag.TaskID(i), 1)
 	}
 
-	// Bottom levels and the critical path are recomputed every iteration, so
-	// both reuse one buffer across the whole loop (the dominant allocation
-	// cost of seeding otherwise).
-	var bl []float64
+	bt := newBLTracker(g, tab, s)
+	bl := bt.bl
 	path := make([]dag.TaskID, 0, g.NumTasks())
 	sources := g.Sources()
 
 	// Each increment changes one allocation, so at most V·(P-1) iterations.
 	for iter := 0; iter < g.NumTasks()*procs; iter++ {
-		bl = g.BottomLevelsInto(cost, bl)
+		// Execution times are positive, so a source's bottom level is at
+		// least that of each of its descendants: the maximum over sources is
+		// the maximum over all tasks.
 		tcp := 0.0
-		for _, b := range bl {
-			if b > tcp {
-				tcp = b
+		for _, src := range sources {
+			if bl[src] > tcp {
+				tcp = bl[src]
 			}
 		}
 		ta := area / float64(procs)
@@ -161,17 +167,132 @@ func cpaCore(g *dag.Graph, tab *model.Table, growable func(v dag.TaskID, s sched
 		area -= float64(s[best]) * tab.Time(best, s[best])
 		s[best]++
 		area += float64(s[best]) * tab.Time(best, s[best])
+		bt.mark(best, false)
 		if d != -1 {
 			area -= float64(s[d]) * tab.Time(d, s[d])
 			s[d]--
 			area += float64(s[d]) * tab.Time(d, s[d])
+			bt.mark(d, false)
 		}
+		bt.settle()
 	}
 	return s
 }
 
+// blTracker keeps the bottom levels of an allocation that changes a few tasks
+// at a time. Alongside each bottom level it keeps the task's max-successor
+// value, so that bl[v] = T(v, s(v)) + maxSucc[v] is always the float
+// operation dag.BottomLevelsInto performs; every value it holds therefore has
+// the bits a full sweep would produce.
+//
+// mark flags a task whose allocation moved; settle then recomputes dirty
+// tasks from the highest topological position down, so each task is
+// recomputed at most once and only after all of its successors. A task whose
+// bottom level does not change stops the propagation. One that rises raises
+// its predecessors' maxSucc in O(1); one that falls forces a predecessor to
+// rescan its successors only if it held that predecessor's maximum.
+type blTracker struct {
+	g     *dag.Graph
+	tab   *model.Table
+	s     schedule.Allocation
+	order []dag.TaskID // topological order
+	pos   []int32      // pos[v] is v's index in order
+
+	bl, maxSucc []float64
+	// dirty and rescan are bitsets over topological positions: dirty tasks
+	// need their bottom level recomputed, rescan ones their maxSucc too.
+	dirty, rescan []uint64
+	top           int // highest word of dirty that may be non-zero
+}
+
+// newBLTracker computes the bottom levels of s by one full sweep.
+func newBLTracker(g *dag.Graph, tab *model.Table, s schedule.Allocation) *blTracker {
+	n := g.NumTasks()
+	// Graphs come from dag.Builder, which rejects cycles and caches the order.
+	order, _ := g.TopologicalOrder()
+	words := (n + 63) / 64
+	floats := make([]float64, 2*n)
+	bitsets := make([]uint64, 2*words)
+	t := &blTracker{
+		g: g, tab: tab, s: s, order: order, pos: make([]int32, n),
+		bl: floats[:n], maxSucc: floats[n:],
+		dirty: bitsets[:words], rescan: bitsets[words:],
+	}
+	for i := n - 1; i >= 0; i-- {
+		v := order[i]
+		t.pos[v] = int32(i)
+		maxSucc := 0.0
+		for _, w := range g.Successors(v) {
+			if t.bl[w] > maxSucc {
+				maxSucc = t.bl[w]
+			}
+		}
+		t.maxSucc[v] = maxSucc
+		t.bl[v] = tab.Time(v, s[v]) + maxSucc
+	}
+	return t
+}
+
+// settle brings every bottom level up to date with s.
+func (t *blTracker) settle() {
+	bl, maxSucc := t.bl, t.maxSucc
+	for w := t.top; w >= 0; w-- {
+		for t.dirty[w] != 0 {
+			b := bits.Len64(t.dirty[w]) - 1
+			t.dirty[w] &^= 1 << b
+			v := t.order[w<<6|b]
+			if t.rescan[w]&(1<<b) != 0 {
+				t.rescan[w] &^= 1 << b
+				m := 0.0
+				for _, x := range t.g.Successors(v) {
+					if bl[x] > m {
+						m = bl[x]
+					}
+				}
+				maxSucc[v] = m
+			}
+			old := bl[v]
+			nb := t.tab.Time(v, t.s[v]) + maxSucc[v]
+			bl[v] = nb
+			// Predecessors sit at lower positions, so the scan reaches them
+			// later in this pass.
+			switch {
+			case nb > old:
+				for _, u := range t.g.Predecessors(v) {
+					if nb > maxSucc[u] {
+						maxSucc[u] = nb
+						t.mark(u, false)
+					}
+				}
+			case nb < old:
+				for _, u := range t.g.Predecessors(v) {
+					if old >= maxSucc[u] { // v held u's maximum
+						t.mark(u, true)
+					}
+				}
+			}
+		}
+	}
+	t.top = 0
+}
+
+// mark flags u for recomputation by the next settle: its bottom level, and
+// with rescan its maxSucc as well. cpaCore marks each task whose allocation
+// it moved.
+func (t *blTracker) mark(u dag.TaskID, rescan bool) {
+	i := int(t.pos[u])
+	t.dirty[i>>6] |= 1 << (i & 63)
+	if rescan {
+		t.rescan[i>>6] |= 1 << (i & 63)
+	}
+	t.top = max(t.top, i>>6)
+}
+
 // CPA is the Critical Path and Area-based allocator of Rădulescu & van
-// Gemund. Its allocation procedure has complexity O(V(V+E)P) (Section III-E).
+// Gemund. Section III-E quotes O(V(V+E)P) for its allocation procedure; with
+// incremental bottom levels (cpaCore) each of the up to V·P iterations costs
+// the critical-path walk plus the edges of the ancestors whose bottom level
+// changes.
 type CPA struct{}
 
 // Name implements Allocator.
@@ -209,16 +330,20 @@ func (h HCPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, err
 	if err := checkInputs(g, tab); err != nil {
 		return nil, err
 	}
-	s := cpaCore(g, tab, nil, nil)
+	return h.translate(cpaCore(g, tab, nil, nil), tab.Procs()), nil
+}
+
+// translate maps an allocation s computed on the reference cluster to the
+// target cluster, in place.
+func (h HCPA) translate(s schedule.Allocation, procs int) schedule.Allocation {
 	ref, target := h.ReferenceSpeedGFlops, h.ClusterSpeedGFlops
 	//schedlint:allow floateq -- exact identity short-circuit on two configured speeds, not on computed values: translation is the identity iff they are bit-equal
 	if ref <= 0 || target <= 0 || ref == target {
-		return s, nil
+		return s
 	}
-	// Translate reference allocations to the target cluster: a task that got
-	// s_ref processors of speed ref needs ceil(s_ref·ref/target) processors
-	// of speed target to retain (at least) the same aggregate speed.
-	procs := tab.Procs()
+	// A task that got s_ref processors of speed ref needs
+	// ceil(s_ref·ref/target) processors of speed target to retain (at least)
+	// the same aggregate speed.
 	for i := range s {
 		s[i] = int(math.Ceil(float64(s[i]) * ref / target))
 		if s[i] < 1 {
@@ -228,7 +353,7 @@ func (h HCPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, err
 			s[i] = procs
 		}
 	}
-	return s, nil
+	return s
 }
 
 // MCPA is the Modified CPA allocator of Bansal, Kumar & Singh: identical to
@@ -246,20 +371,26 @@ func (MCPA) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, error
 	if err := checkInputs(g, tab); err != nil {
 		return nil, err
 	}
+	growable, onGrow := mcpaHooks(g, tab)
+	return cpaCore(g, tab, growable, onGrow), nil
+}
+
+// mcpaHooks returns MCPA's cpaCore hooks, which share one fresh level budget.
+func mcpaHooks(g *dag.Graph, tab *model.Table) (growable func(dag.TaskID, schedule.Allocation) bool, onGrow func(dag.TaskID, schedule.Allocation) dag.TaskID) {
 	level, byLevel := g.PrecedenceLevels()
 	procs := tab.Procs()
 	levelSum := make([]int, len(byLevel))
 	for l, tasks := range byLevel {
 		levelSum[l] = len(tasks) // every task starts with 1 processor
 	}
-	growable := func(v dag.TaskID, s schedule.Allocation) bool {
+	growable = func(v dag.TaskID, s schedule.Allocation) bool {
 		return levelSum[level[v]] < procs
 	}
-	onGrow := func(v dag.TaskID, _ schedule.Allocation) dag.TaskID {
+	onGrow = func(v dag.TaskID, _ schedule.Allocation) dag.TaskID {
 		levelSum[level[v]]++
 		return -1
 	}
-	return cpaCore(g, tab, growable, onGrow), nil
+	return growable, onGrow
 }
 
 // MCPA2 extends MCPA in the spirit of Hunold (CCGrid 2010): when a critical
@@ -284,13 +415,20 @@ func (MCPA2) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, erro
 	if err := checkInputs(g, tab); err != nil {
 		return nil, err
 	}
+	growable, onGrow := mcpa2Hooks(g, tab)
+	return cpaCore(g, tab, growable, onGrow), nil
+}
+
+// mcpa2Hooks returns MCPA2's cpaCore hooks, which share one fresh level
+// budget.
+func mcpa2Hooks(g *dag.Graph, tab *model.Table) (growable func(dag.TaskID, schedule.Allocation) bool, onGrow func(dag.TaskID, schedule.Allocation) dag.TaskID) {
 	level, byLevel := g.PrecedenceLevels()
 	procs := tab.Procs()
 	levelSum := make([]int, len(byLevel))
 	for l, tasks := range byLevel {
 		levelSum[l] = len(tasks)
 	}
-	growable := func(v dag.TaskID, s schedule.Allocation) bool {
+	growable = func(v dag.TaskID, s schedule.Allocation) bool {
 		if levelSum[level[v]] < procs {
 			return true
 		}
@@ -298,7 +436,7 @@ func (MCPA2) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, erro
 		// the level can donate a processor.
 		return donor(g, tab, s, byLevel[level[v]], v) != -1
 	}
-	onGrow := func(v dag.TaskID, s schedule.Allocation) dag.TaskID {
+	onGrow = func(v dag.TaskID, s schedule.Allocation) dag.TaskID {
 		if levelSum[level[v]] < procs {
 			levelSum[level[v]]++
 			return -1
@@ -306,17 +444,15 @@ func (MCPA2) Allocate(g *dag.Graph, tab *model.Table) (schedule.Allocation, erro
 		// levelSum unchanged: one in, one out. growable guarantees a donor.
 		return donor(g, tab, s, byLevel[level[v]], v)
 	}
-	return cpaCore(g, tab, growable, onGrow), nil
+	return growable, onGrow
 }
 
 // donor picks the task in tasks (excluding grown) with the smallest bottom
 // level among those holding more than one processor whose execution time
 // with one processor less stays below grown's current one, or -1; it is -1
-// too when one more processor would not make grown faster. Bottom
-// levels are approximated by the tasks' current execution times plus
-// successors, which cpaCore recomputes each iteration anyway; using the
-// cheaper current execution time T(v, s(v)) as the criticality proxy keeps
-// this O(width).
+// too when one more processor would not make grown faster. The
+// current execution time T(v, s(v)) stands in for the bottom level as the
+// criticality proxy, which keeps this O(width).
 func donor(g *dag.Graph, tab *model.Table, s schedule.Allocation, tasks []dag.TaskID, grown dag.TaskID) dag.TaskID {
 	best := dag.TaskID(-1)
 	bestTime := 0.0

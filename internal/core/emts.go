@@ -76,10 +76,10 @@ type Params struct {
 	// UseRejection is set (DESIGN.md §10, Layer 1). Results are bit-identical
 	// either way; A/B switch like DisableCache.
 	DisablePrefilter bool
-	// DisableBatch turns off structure-of-arrays batch evaluation: each
-	// generation's cache misses are then dispatched to the workers one
-	// individual at a time through scalar Mappers instead of per-worker
-	// chunks over a listsched.BatchMapper (DESIGN.md §13). Results are
+	// DisableBatch turns off batch evaluation: each generation's cache
+	// misses are then dispatched to the workers one individual at a time
+	// through scalar Mappers instead of per-worker chunks over a
+	// listsched.BatchMapper (DESIGN.md §13). Results are
 	// bit-identical either way; A/B switch like DisableCache.
 	DisableBatch bool
 	// DisableWorkStealing forces the fixed contiguous-chunk batch dispatch
@@ -361,11 +361,11 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 	}
 
 	// The batch factory hands each EA worker a BatchMapper evaluating its
-	// whole chunk of the generation over structure-of-arrays planes
-	// (DESIGN.md §13). It is independent of the cache switch: with the
-	// cache off every individual reaches the batch; with it on, only misses
-	// do. The allocations are wrapped into listsched items through a
-	// closure-owned scratch slice, reused across generations.
+	// whole chunk of the generation in one call, row by row, each row
+	// bound-first (DESIGN.md §13). It is independent of the cache switch:
+	// with the cache off every individual reaches the batch; with it on,
+	// only misses do. The allocations are wrapped into listsched items
+	// through a closure-owned scratch slice, reused across generations.
 	var batchFactory func() ea.BatchEvaluator
 	if !p.DisableBatch {
 		batchOpt := listsched.Options{SkipProcSets: true, DisablePrefilter: p.DisablePrefilter}

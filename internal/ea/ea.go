@@ -304,9 +304,10 @@ type Config struct {
 	// BatchEvaluatorFactory, when non-nil, supplies one BatchEvaluator per
 	// worker goroutine; unresolved individuals are then dispatched to the
 	// workers in contiguous chunks instead of one channel send per
-	// individual, and each worker evaluates its chunk in a single call over
-	// structure-of-arrays state (listsched.BatchMapper). The memoization and
-	// deduplication pre-pass is unchanged: only cache misses reach a batch.
+	// individual, and each worker evaluates its chunk in a single call
+	// (listsched.BatchMapper, one row after another on one set of scratch
+	// arrays). The memoization and deduplication pre-pass is unchanged:
+	// only cache misses reach a batch.
 	// Results are bit-identical to the scalar EvaluatorFactory, which remains
 	// wired as the fallback for DisableBatch.
 	BatchEvaluatorFactory func() BatchEvaluator

@@ -44,8 +44,7 @@ type evalEngine struct {
 	// Batch dispatch (DESIGN.md §13): when batchFactory is non-nil, the
 	// unresolved representatives of each generation are split into contiguous
 	// chunks and each worker evaluates its chunk in one BatchEvaluator call
-	// over structure-of-arrays planes instead of one channel round-trip per
-	// individual.
+	// instead of one channel round-trip per individual.
 	batchFactory func() BatchEvaluator
 	perWBatch    []BatchEvaluator
 	// stealing selects the work-stealing batch dispatch (steal.go) over the
@@ -320,7 +319,7 @@ func (eng *evalEngine) runBatchChunk(ev BatchEvaluator, idxs []int, items []sche
 // worker-owned BatchEvaluators — via the work-stealing range deques of
 // steal.go by default, or in fixed contiguous chunks of w*n/workers rows
 // under DisableWorkStealing. Either way every row's outcome lands at its
-// fixed index in the scratch planes, so the results and counters are
+// fixed index in the batch scratch arrays, so the results and counters are
 // deterministic; only the fixed-chunk path additionally pins *which* worker
 // evaluates which row.
 //

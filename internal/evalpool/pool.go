@@ -33,8 +33,8 @@ type shape struct {
 // bucket is one shape class: a LIFO stack of released Mappers plus intrusive
 // LRU links (container/list would box every bucket through `any` on the
 // checkout path, which the hot-path lint forbids). Batch mappers share the
-// bucket — their planes are row-multiples of the same shape, so the same
-// size-class filing, LRU position, and per-shape bound apply.
+// bucket — their scratch is sized by the same (tasks, procs) shape, so the
+// same size-class filing, LRU position, and per-shape bound apply.
 type bucket struct {
 	key        shape
 	mappers    []*listsched.Mapper
@@ -146,9 +146,8 @@ func (p *Pool) Put(m *listsched.Mapper) {
 }
 
 // GetBatch checks a BatchMapper out of the pool, bound to (g, tab) and ready
-// for use — the batch twin of Get. On a pool hit the planes of the previous
-// run of this shape are rebound with zero allocations (the first EvalBatch
-// regrows them only if the batch is larger than any the instance has seen).
+// for use — the batch twin of Get. On a pool hit the scratch of a previous
+// run of this shape is rebound with zero allocations.
 //
 //schedlint:hotpath
 func (p *Pool) GetBatch(g *dag.Graph, tab *model.Table) (*listsched.BatchMapper, error) {
@@ -175,7 +174,7 @@ func (p *Pool) GetBatch(g *dag.Graph, tab *model.Table) (*listsched.BatchMapper,
 	return bm, nil
 }
 
-// PutBatch releases bm's graph/table references and returns its planes to
+// PutBatch releases bm's graph/table references and returns its scratch to
 // the pool — the batch twin of Put. bm must not be used after PutBatch.
 //
 //schedlint:hotpath

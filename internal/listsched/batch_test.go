@@ -3,9 +3,11 @@ package listsched
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"emts/internal/dag"
 	"emts/internal/daggen"
 	"emts/internal/model"
 	"emts/internal/platform"
@@ -136,9 +138,8 @@ func FuzzBatchScalarIdentity(f *testing.F) {
 }
 
 // TestBatchMapperRebind pins the pool reset protocol: a BatchMapper rebound
-// to a second instance must produce the same results as a fresh one, and a
-// Release/Rebind cycle on the same shape must not allocate once the planes
-// are warm.
+// to a second instance must produce the same results as a fresh one, and
+// Shape must survive Release so a pool can file the instance.
 func TestBatchMapperRebind(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g1, parent1, tab1 := randomInstance(rng)
@@ -179,9 +180,9 @@ func TestBatchMapperRebind(t *testing.T) {
 	}
 }
 
-// TestBatchEvalZeroAllocs pins the batch hot path: once the planes are warm, a
-// full EvalBatch — bottom-level sweeps, prefilter sweep, rejections, and all —
-// performs zero heap allocations.
+// TestBatchEvalZeroAllocs pins the batch hot path: a warm EvalBatch — area
+// bounds, bottom-level sweeps with their early exits, map loops, rejections,
+// and all — performs zero heap allocations.
 func TestBatchEvalZeroAllocs(t *testing.T) {
 	g, err := daggen.Random(daggen.RandomConfig{
 		N: 120, Width: 0.5, Regularity: 0.5, Density: 0.5, Jump: 2,
@@ -202,7 +203,7 @@ func TestBatchEvalZeroAllocs(t *testing.T) {
 	items := batchOf(rng, parent, tab.Procs())
 	fit := make([]float64, len(items))
 	errs := make([]error, len(items))
-	bm.EvalBatch(items, Options{}, fit, errs) // warm up: grows the planes
+	bm.EvalBatch(items, Options{}, fit, errs) // warm up
 	full := fit[0]
 
 	for _, opt := range []Options{{}, {RejectAbove: full}, {RejectAbove: full / 2}} {
@@ -272,5 +273,119 @@ func TestBatchInvalidRows(t *testing.T) {
 	}
 	if errs[3] != nil || fit[3] != want {
 		t.Errorf("row 3 after invalid rows: fitness %g err %v, want %g nil", fit[3], errs[3], want)
+	}
+}
+
+// boundRows builds the instance of TestBatchRowByRow: on 6 processors, two
+// independent 8 s tasks (IDs 0 and 1) next to a chain of four 1 s tasks
+// (IDs 2–5), all with Amdahl fraction 0.5. The reverse-topological sweep
+// visits the chain first, so a row whose independent task 1 exceeds the bound
+// stops the sweep before it reaches task 0.
+func boundRows(t *testing.T) (*dag.Graph, *model.Table) {
+	t.Helper()
+	b := dag.NewBuilder("bounds")
+	for _, flops := range []float64{8e9, 8e9, 1e9, 1e9, 1e9, 1e9} {
+		b.AddTask(dag.Task{Flops: flops, Alpha: 0.5})
+	}
+	for v := dag.TaskID(2); v < 5; v++ {
+		b.AddEdge(v, v+1)
+	}
+	g := b.MustBuild()
+	return g, model.MustTable(g, model.Amdahl{}, platform.Cluster{Name: "six", Procs: 6, SpeedGFlops: 1})
+}
+
+// TestBatchRowByRow pins per-row, bound-first evaluation under one bound of
+// 6.5 s. Each row is known to fall to exactly one layer: the area bound
+// alone, the critical-path bound alone (stopping the sweep part way), both,
+// the in-loop check, or none. The rows are ordered so that early exits come
+// right before accepted rows, whose sweeps must overwrite what the exits
+// left behind. Every row must match the scalar MakespanOpts bit for bit, with
+// the prefilter on and off, and carry the expected sentinel.
+func TestBatchRowByRow(t *testing.T) {
+	g, tab := boundRows(t)
+	const bound = 6.5
+	type class int
+	const (
+		accepted class = iota
+		areaOnly
+		pathOnly
+		bothBounds
+		inLoop
+	)
+	rows := []struct {
+		alloc schedule.Allocation
+		want  class
+	}{
+		{schedule.Allocation{6, 6, 6, 6, 6, 6}, areaOnly},   // area 11.7, path 4.7
+		{schedule.Allocation{1, 1, 1, 1, 1, 1}, pathOnly},   // area 3.3, path 8
+		{schedule.Allocation{2, 2, 1, 1, 1, 1}, accepted},   // makespan 6
+		{schedule.Allocation{6, 1, 1, 1, 1, 1}, bothBounds}, // area 6.7, path 8
+		{schedule.Allocation{2, 2, 1, 1, 1, 1}, accepted},
+		{schedule.Allocation{3, 3, 1, 1, 1, 1}, inLoop}, // area 6, path 5.3, makespan 9.3
+		{schedule.Allocation{1, 1, 1, 1, 1, 1}, pathOnly},
+		{schedule.Allocation{2, 2, 1, 1, 1, 1}, accepted},
+	}
+	items := make([]BatchItem, len(rows))
+	for i, r := range rows {
+		items[i] = BatchItem{Alloc: r.alloc}
+		area := 0.0
+		for v, s := range r.alloc {
+			area += float64(s) * tab.Time(dag.TaskID(v), s)
+		}
+		path := slices.Max(g.BottomLevels(Cost(tab, r.alloc)))
+		areaOver := area > bound*float64(tab.Procs())*(1+areaSlack)
+		var got class
+		switch {
+		case areaOver && path > bound:
+			got = bothBounds
+		case areaOver:
+			got = areaOnly
+		case path > bound:
+			got = pathOnly
+		default:
+			ms, err := Makespan(g, tab, r.alloc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = accepted
+			if ms > bound {
+				got = inLoop
+			}
+		}
+		if got != r.want {
+			t.Fatalf("row %d (%v): area/P %g, max bottom level %g: class %d, want %d",
+				i, r.alloc, area/float64(tab.Procs()), path, got, r.want)
+		}
+	}
+
+	bm, err := NewBatchMapper(g, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMapper(g, tab)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := make([]float64, len(items))
+	errs := make([]error, len(items))
+	for _, noPre := range []bool{false, true} {
+		opt := Options{RejectAbove: bound, DisablePrefilter: noPre}
+		if !checkBatchScalarIdentity(t, bm, m, items, opt) {
+			t.Fatalf("batch and scalar diverged (DisablePrefilter %v)", noPre)
+		}
+		bm.EvalBatch(items, opt, fit, errs)
+		for i, r := range rows {
+			var want error
+			switch {
+			case r.want == accepted:
+			case r.want == inLoop || noPre:
+				want = ErrRejected
+			default:
+				want = ErrRejectedPrefilter
+			}
+			if errs[i] != want {
+				t.Errorf("row %d (%v, DisablePrefilter %v): err %v, want %v", i, r.alloc, noPre, errs[i], want)
+			}
+		}
 	}
 }

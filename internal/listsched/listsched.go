@@ -59,10 +59,12 @@ type Options struct {
 	// Fitness evaluation uses this to avoid per-task allocations.
 	SkipProcSets bool
 	// DisablePrefilter skips the O(V) admissible lower-bound prefilter that
-	// normally runs between the bottom-level sweep and the map loop when
-	// RejectAbove is set. The prefilter is exact — it fires only when the
-	// in-loop rejection check would also fire — so this switch exists purely
-	// for A/B regression tests and benchmarks, like ea.Config.DisableCache.
+	// normally runs before the map loop when RejectAbove is set: the area
+	// bound before the bottom-level sweep, the critical-path bound on the
+	// bottom levels it produces. The prefilter is exact — it fires only when
+	// the in-loop rejection check would also fire — so this switch exists
+	// purely for A/B regression tests and benchmarks, like
+	// ea.Config.DisableCache.
 	DisablePrefilter bool
 }
 

@@ -15,11 +15,10 @@ import (
 // processor-set recording path reads, and the ready heap itself. A placement
 // costs O(log P + s + lo) on free, where lo counts the processors that become
 // free before the task ends; recording its processor set adds one O(P) scan of
-// avail. The scalar Mapper points one mapState at its arenas for the Mapper's
-// lifetime; the BatchMapper, which never records processor sets, assembles a
-// mapState per individual whose per-task slices are rows of its
-// structure-of-arrays planes (batch.go). Both feed the same runMapLoop, so the
-// scalar and batch paths cannot drift apart.
+// avail. The scalar Mapper and the BatchMapper each point one mapState at
+// their own scratch for their lifetime (the BatchMapper never records
+// processor sets, so it leaves avail empty). Both feed the same runMapLoop, so
+// the scalar and batch paths cannot drift apart.
 type mapState struct {
 	bl        []float64
 	indeg     []int
@@ -200,6 +199,10 @@ func (m *Mapper) MapWithOptions(alloc schedule.Allocation, opt Options) (*schedu
 // availability times that fall before the task ends; recording the processor
 // set adds one O(P) scan (runMapLoop).
 //
+// With RejectAbove set and the prefilter on, the area bound is checked before
+// the bottom-level sweep and the critical-path bound after it; either returns
+// ErrRejectedPrefilter without mapping.
+//
 // When entries is non-nil, one Entry per task is recorded there; otherwise
 // only the makespan is tracked (the fitness path).
 //
@@ -210,19 +213,34 @@ func (m *Mapper) mapLoop(alloc schedule.Allocation, opt Options, entries []sched
 		return 0, err
 	}
 
+	prefilter := opt.RejectAbove > 0 && !opt.DisablePrefilter
+	if prefilter && areaExceeds(m.tab, m.procs, alloc, opt.RejectAbove) {
+		return 0, ErrRejectedPrefilter
+	}
 	m.cur = alloc
 	bl := g.BottomLevelsInto(m.cost, m.st.bl)
 	m.st.bl = bl
 	m.cur = nil // cost is not consulted past this point; drop the reference
+	if prefilter {
+		// Critical-path bound: the first task the map loop pops is the
+		// source with the largest bottom level, started at time 0, so its
+		// in-loop check fires iff some bottom level exceeds the bound.
+		for _, b := range bl {
+			if b > opt.RejectAbove {
+				return 0, ErrRejectedPrefilter
+			}
+		}
+	}
 
 	return runMapLoop(g, m.tab, m.procs, alloc, &m.st, opt, entries, procArena)
 }
 
 // runMapLoop executes the map loop over the scratch bundled in st. It assumes
-// alloc has been validated and st.bl holds the bottom levels for alloc. Both
-// the scalar Mapper (st = its arenas) and the BatchMapper (st = one row of
-// its SoA planes) call it, which is what keeps the two paths bit-identical
-// by construction.
+// alloc has been validated and st.bl holds the bottom levels for alloc; the
+// prefilter, if any, has already run in the caller. Both the scalar Mapper
+// and the BatchMapper call it on their own scratch, which is what keeps the
+// two paths bit-identical by construction. Its only rejection is the in-loop
+// RejectAbove check.
 //
 // When entries is non-nil, one Entry per task is recorded there. procArena,
 // consulted only when processor sets are recorded, must have capacity for
@@ -239,9 +257,6 @@ func runMapLoop(g *dag.Graph, tab *model.Table, procs int, alloc schedule.Alloca
 	n := g.NumTasks()
 	bl := st.bl[:n]
 
-	if opt.RejectAbove > 0 && !opt.DisablePrefilter && prefilterReject(tab, procs, alloc, bl, opt.RejectAbove) {
-		return 0, ErrRejectedPrefilter
-	}
 	indeg := st.indeg[:n]
 	copy(indeg, g.Indegrees())
 	readyTime := st.readyTime[:n]
@@ -378,36 +393,18 @@ func searchFree(free []float64, t float64) int {
 // is therefore preserved (DESIGN.md §10, Layer 1).
 const areaSlack = 1e-9
 
-// prefilterReject reports whether two O(V) admissible lower bounds on the
-// makespan already exceed bound, in which case the in-loop rejection check
-// is guaranteed to fire and the map loop can be skipped entirely:
-//
-//   - Critical-path bound: max_v bl(v). The first task popped by the map
-//     loop is the source with the largest bottom level, started at time 0,
-//     so its in-loop check start+bl = max bl fires iff this bound exceeds
-//     the threshold — the prefilter is exact for this bound, no slack
-//     needed.
-//   - Area bound: Σ s(v)·T(v,s(v)) / P. All work must fit into P processors
-//     within the makespan, so makespan ≥ area/P; compared with relative
-//     slack areaSlack to absorb summation rounding (see above).
-//
-// Both are true lower bounds, so a prefilter rejection implies the in-loop
-// check would have rejected as well: results with the prefilter on and off
-// are bit-identical. The BatchMapper runs the same two bounds as a sweep
-// over all rows of its bottom-level plane before mapping any of them
-// (batch.go), with identical float semantics.
+// areaExceeds reports whether the area lower bound Σ s(v)·T(v,s(v)) / P on
+// the makespan exceeds bound: all work must fit into P processors within the
+// makespan. It is the first of the prefilter's two admissible bounds and
+// needs no bottom levels, so both callers check it before their sweep; the
+// second, the critical-path bound max_v bl(v), is exact and is checked on
+// the bottom levels (Mapper.mapLoop after the sweep, bottomLevelsRow during
+// it). Both are true lower bounds, so a prefilter rejection implies the
+// in-loop check would have rejected as well: results with the prefilter on
+// and off are bit-identical.
 //
 //schedlint:hotpath
-func prefilterReject(tab *model.Table, procs int, alloc schedule.Allocation, bl []float64, bound float64) bool {
-	maxBL := 0.0
-	for _, b := range bl {
-		if b > maxBL {
-			maxBL = b
-		}
-	}
-	if maxBL > bound {
-		return true
-	}
+func areaExceeds(tab *model.Table, procs int, alloc schedule.Allocation, bound float64) bool {
 	area := 0.0
 	for v, s := range alloc {
 		area += float64(s) * tab.Time(dag.TaskID(v), s)
