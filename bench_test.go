@@ -520,11 +520,20 @@ func BenchmarkTimeTableBuild(b *testing.B) {
 // emtsInstanceBench measures one complete EMTS optimization of a 100-task
 // PTG on Grelon — the unit of the run-time table — and reports the fraction
 // of fitness evaluations answered by the memoization cache and the fraction
-// cut short by the admissible lower-bound prefilter.
-func emtsInstanceBench(b *testing.B, mkParams func(int64) core.Params) {
+// cut short by the admissible lower-bound prefilter. Every iteration reuses
+// one table, so all but the first replay the table's seed memo: this is the
+// warm path of a server answering repeat requests for an interned table.
+// With coldTable set, each iteration instead builds a new table with the
+// timer stopped, so every run computes its seeds.
+func emtsInstanceBench(b *testing.B, mkParams func(int64) core.Params, coldTable bool) {
 	g, tab, _ := benchInstance(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if coldTable {
+			b.StopTimer()
+			tab = model.MustTable(g, model.Synthetic{}, platform.Grelon())
+			b.StartTimer()
+		}
 		res, err := core.Run(g, tab, mkParams(1))
 		if err != nil {
 			b.Fatal(err)
@@ -549,16 +558,30 @@ func withRejection(mk func(int64) core.Params) func(int64) core.Params {
 
 // BenchmarkEMTS5Instance measures one complete EMTS5 optimization of a
 // 100-task PTG on Grelon — the unit of the run-time table — with the
-// rejection strategy enabled.
-func BenchmarkEMTS5Instance(b *testing.B) { emtsInstanceBench(b, withRejection(core.EMTS5)) }
+// rejection strategy enabled, on a warm table (seeds replayed from its memo).
+func BenchmarkEMTS5Instance(b *testing.B) { emtsInstanceBench(b, withRejection(core.EMTS5), false) }
 
-// BenchmarkEMTS10Instance measures one complete EMTS10 optimization.
-func BenchmarkEMTS10Instance(b *testing.B) { emtsInstanceBench(b, withRejection(core.EMTS10)) }
+// BenchmarkEMTS10Instance measures one complete EMTS10 optimization on a
+// warm table.
+func BenchmarkEMTS10Instance(b *testing.B) { emtsInstanceBench(b, withRejection(core.EMTS10), false) }
+
+// BenchmarkEMTS5InstanceColdTable is BenchmarkEMTS5Instance on a new table
+// per iteration: every run computes MCPA, HCPA, Δ-CP and the all-ones seed,
+// as the Section V-B run-time table does.
+func BenchmarkEMTS5InstanceColdTable(b *testing.B) {
+	emtsInstanceBench(b, withRejection(core.EMTS5), true)
+}
+
+// BenchmarkEMTS10InstanceColdTable is the EMTS10 variant of the cold-table
+// benchmark.
+func BenchmarkEMTS10InstanceColdTable(b *testing.B) {
+	emtsInstanceBench(b, withRejection(core.EMTS10), true)
+}
 
 // BenchmarkEMTS5InstanceNoRejection is the pre-PR 3 headline workload: no
 // rejection bound, so neither the prefilter nor in-loop rejection can fire
-// and only memoization and delta bottom levels help.
-func BenchmarkEMTS5InstanceNoRejection(b *testing.B) { emtsInstanceBench(b, core.EMTS5) }
+// and only memoization and delta bottom levels help. Warm table.
+func BenchmarkEMTS5InstanceNoRejection(b *testing.B) { emtsInstanceBench(b, core.EMTS5, false) }
 
 // BenchmarkEMTS5InstanceNoFastPath is the A/B control for DESIGN.md §10:
 // rejection enabled but the lower-bound prefilter switched off.
@@ -568,7 +591,7 @@ func BenchmarkEMTS5InstanceNoFastPath(b *testing.B) {
 		p.UseRejection = true
 		p.DisablePrefilter = true
 		return p
-	})
+	}, false)
 }
 
 // BenchmarkEMTS5InstanceNoBatch is the A/B control for DESIGN.md §13: the
@@ -580,7 +603,7 @@ func BenchmarkEMTS5InstanceNoBatch(b *testing.B) {
 		p.UseRejection = true
 		p.DisableBatch = true
 		return p
-	})
+	}, false)
 }
 
 // BenchmarkEMTS10InstanceNoBatch is the EMTS10 variant of the batch A/B
@@ -591,7 +614,7 @@ func BenchmarkEMTS10InstanceNoBatch(b *testing.B) {
 		p.UseRejection = true
 		p.DisableBatch = true
 		return p
-	})
+	}, false)
 }
 
 // perIndividualBench runs a (10+λ)×5 optimization of the 100-task instance

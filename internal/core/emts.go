@@ -50,6 +50,12 @@ type Params struct {
 	// DefaultSeeds(Seed): MCPA, HCPA, Δ-CP(0.9), the all-ones allocation,
 	// and one random individual. Seed allocators that fail are skipped (the
 	// EA pads with random individuals); at least one must succeed.
+	//
+	// With nil Seeds the first run on a (graph, table) pair stores the four
+	// deterministic seeds' outcomes on the table (model.Table.SeedMemo), and
+	// later runs replay them and compute only the random seed; the results
+	// are bit-identical either way. Custom seeders always run, because they
+	// may be impure.
 	Seeds []alloc.Allocator
 	// Strategy selects plus- (default, the paper's choice) or
 	// comma-selection; see ea.Strategy.
@@ -133,7 +139,9 @@ func DefaultParams(seed int64) Params { return EMTS5(seed) }
 // DefaultSeeds returns the paper's starting-solution providers: the
 // allocation functions of MCPA and HCPA (Section III-B), the Δ-critical-path
 // heuristic with Δ = 0.9 (Section IV), the all-ones allocation, and one
-// seeded random individual.
+// seeded random individual. The first memoSeeds of them draw no random
+// numbers and read nothing but the graph and the table, which is what lets
+// RunContext memoize their outcomes per table.
 func DefaultSeeds(seed int64) []alloc.Allocator {
 	return []alloc.Allocator{
 		alloc.MCPA{},
@@ -143,6 +151,10 @@ func DefaultSeeds(seed int64) []alloc.Allocator {
 		alloc.Random{Seed: seed},
 	}
 }
+
+// memoSeeds is the number of leading DefaultSeeds entries RunContext keeps
+// in the table's seed memo: all of them but the random individual.
+const memoSeeds = 4
 
 // SeedResult records how one starting heuristic performed, for reporting and
 // for the relative-makespan figures.
@@ -200,6 +212,54 @@ func (r *Result) BestSeedMakespan() float64 {
 		}
 	}
 	return best
+}
+
+// runSeeds runs the starting heuristics in order on m and returns their
+// report and the allocations of those that succeeded, in the same order: it
+// sets the EA's initial pool order and its tie-breaks. With memoize set the
+// seeders are DefaultSeeds, and the first memoSeeds outcomes are replayed from
+// the table's seed memo for g, or computed and stored there on a miss. The
+// returned allocations never alias the memo.
+func runSeeds(g *dag.Graph, tab *model.Table, seeders []alloc.Allocator, memoize bool, m *listsched.Mapper) ([]SeedResult, []schedule.Allocation) {
+	var memo, record *model.SeedMemo
+	if memoize {
+		if memo = tab.SeedMemo(g); memo == nil {
+			record = &model.SeedMemo{Graph: g}
+		}
+	}
+	var (
+		report []SeedResult
+		allocs []schedule.Allocation
+	)
+	for i, s := range seeders {
+		var (
+			a   schedule.Allocation
+			ms  float64
+			err error
+		)
+		if memo != nil && i < memoSeeds {
+			o := memo.Seeds[i]
+			a, ms, err = schedule.Allocation(o.Alloc).Clone(), o.Makespan, o.Err
+		} else {
+			if a, err = s.Allocate(g, tab); err == nil {
+				a.Clamp(tab.Procs())
+				ms, err = m.Makespan(a)
+			}
+			if record != nil && i < memoSeeds {
+				record.Seeds = append(record.Seeds, model.SeedOutcome{Alloc: a.Clone(), Makespan: ms, Err: err})
+			}
+		}
+		if err != nil {
+			report = append(report, SeedResult{Name: s.Name(), Err: err})
+			continue
+		}
+		report = append(report, SeedResult{Name: s.Name(), Makespan: ms})
+		allocs = append(allocs, a)
+	}
+	if record != nil {
+		tab.StoreSeedMemo(record)
+	}
+	return report, allocs
 }
 
 // Run executes EMTS on graph g with execution times tab (which also carries
@@ -290,21 +350,7 @@ func RunContext(ctx context.Context, g *dag.Graph, tab *model.Table, p Params) (
 		return nil, err
 	}
 	var seedAllocs []schedule.Allocation
-	for _, s := range seeders {
-		a, err := s.Allocate(g, tab)
-		if err != nil {
-			res.Seeds = append(res.Seeds, SeedResult{Name: s.Name(), Err: err})
-			continue
-		}
-		a.Clamp(procs)
-		ms, err := seedMapper.Makespan(a)
-		if err != nil {
-			res.Seeds = append(res.Seeds, SeedResult{Name: s.Name(), Err: err})
-			continue
-		}
-		res.Seeds = append(res.Seeds, SeedResult{Name: s.Name(), Makespan: ms})
-		seedAllocs = append(seedAllocs, a)
-	}
+	res.Seeds, seedAllocs = runSeeds(g, tab, seeders, p.Seeds == nil, seedMapper)
 	if len(seedAllocs) == 0 && len(seeders) > 0 {
 		return nil, fmt.Errorf("emts: every starting heuristic failed (first: %v)", res.Seeds[0].Err)
 	}

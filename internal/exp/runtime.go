@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"emts/internal/core"
-	"emts/internal/dag"
 	"emts/internal/model"
 	"emts/internal/platform"
 	"emts/internal/stats"
@@ -57,32 +56,16 @@ func RuntimeTable(instances int, seed int64) (*RuntimeResult, error) {
 		irregular.Graphs = irregular.Graphs[:instances]
 	}
 	res := &RuntimeResult{ModelName: "synthetic"}
-	// Tables are a pure function of (graph, cluster); memoize them so the
-	// EMTS5 and EMTS10 sweeps over the same instances don't rebuild each
-	// (and table construction stays out of the measured optimization times).
-	type tabKey struct {
-		g       *dag.Graph
-		cluster platform.Cluster
-	}
-	tabs := make(map[tabKey]*model.Table)
-	tableFor := func(g *dag.Graph, cluster platform.Cluster) (*model.Table, error) {
-		key := tabKey{g: g, cluster: cluster}
-		if tab, ok := tabs[key]; ok {
-			return tab, nil
-		}
-		tab, err := model.NewTable(g, model.Synthetic{}, cluster)
-		if err != nil {
-			return nil, err
-		}
-		tabs[key] = tab
-		return tab, nil
-	}
 	for _, emtsName := range []string{"emts5", "emts10"} {
 		for _, w := range []Workload{strassen, irregular} {
 			for _, cluster := range []platform.Cluster{platform.Chti(), platform.Grelon()} {
 				times := make([]float64, 0, len(w.Graphs))
 				for _, g := range w.Graphs {
-					tab, err := tableFor(g, cluster)
+					// A fresh table per measured run keeps every run cold:
+					// the paper's times include seeding, and a table reused
+					// from the EMTS5 sweep would replay its seed memo. The
+					// table build itself stays outside the timer.
+					tab, err := model.NewTable(g, model.Synthetic{}, cluster)
 					if err != nil {
 						return nil, err
 					}

@@ -13,6 +13,7 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"emts/internal/dag"
 	"emts/internal/platform"
@@ -195,6 +196,30 @@ type Table struct {
 	procs int
 	tasks int
 	times []float64
+	// seeds is the write-once-per-graph seed memo (see SeedMemo). Like
+	// dag.Graph's precedence levels it is a pure function of immutable
+	// values, memoized on the value that outlives the runs reading it.
+	seeds atomic.Pointer[SeedMemo]
+}
+
+// SeedMemo records what a run's deterministic starting heuristics produced
+// for one graph on a Table: each seed's clamped allocation and mapped
+// makespan, or the error that made it fail. Its holder fills it once and
+// never modifies it afterwards; readers must copy Alloc before changing it.
+type SeedMemo struct {
+	// Graph is the graph the seeds were computed for. A table can be paired
+	// with different *dag.Graph values of the same shape, so the memo only
+	// answers for this pointer.
+	Graph *dag.Graph
+	// Seeds are the outcomes in the order the heuristics ran.
+	Seeds []SeedOutcome
+}
+
+// SeedOutcome is one starting heuristic's entry in a SeedMemo.
+type SeedOutcome struct {
+	Alloc    []int
+	Makespan float64
+	Err      error
 }
 
 // row returns the contiguous P execution times of task v.
@@ -250,6 +275,20 @@ func (t *Table) NumTasks() int { return t.tasks }
 //
 //schedlint:hotpath
 func (t *Table) Time(v dag.TaskID, p int) float64 { return t.times[int(v)*t.procs+p-1] }
+
+// SeedMemo returns the seed memo stored for g, or nil when the slot is empty
+// or holds another graph's. The memo costs one allocation per seed, 4·V ints
+// for core's default seeds, and is freed with the table.
+func (t *Table) SeedMemo(g *dag.Graph) *SeedMemo {
+	if m := t.seeds.Load(); m != nil && m.Graph == g {
+		return m
+	}
+	return nil
+}
+
+// StoreSeedMemo replaces the seed memo. Concurrent stores for the same graph
+// carry equal values, so whichever lands last is correct.
+func (t *Table) StoreSeedMemo(m *SeedMemo) { t.seeds.Store(m) }
 
 // Monotone reports whether T(v, p) is non-increasing in p for every task,
 // i.e. whether the "monotonous penalty assumption" holds for this table.
